@@ -39,26 +39,25 @@ import (
 	"xlp/internal/strict"
 )
 
-// benchConfig is one gated engine configuration: a table representation
-// plus a clause backend. Names key the entries in BENCH_engine.json.
+// benchConfig is one gated engine configuration: a table representation,
+// a clause backend and a parallelism bound. Names key the entries in
+// BENCH_engine.json.
 type benchConfig struct {
-	name     string
-	tables   engine.TablesImpl
-	mode     engine.LoadMode
-	parallel int
+	name   string
+	engine engine.Config
 }
 
 func benchConfigs() []benchConfig {
 	return []benchConfig{
-		{"trie", engine.TablesTrie, engine.LoadDynamic, 0},
-		{"stringmap", engine.TablesStringMap, engine.LoadDynamic, 0},
-		{"closure", engine.TablesTrie, engine.ModeClosure, 0},
+		{"trie", engine.Config{}},
+		{"stringmap", engine.Config{Tables: engine.TablesStringMap}},
+		{"closure", engine.Config{Mode: engine.ModeClosure}},
 		// Corpus programs are mostly single-cone (one goal group), so
 		// this entry is not expected to beat the trie sweep — it holds
 		// the group planner's overhead inside the regression band on
 		// workloads that cannot split. The batch gate below is where
 		// parallelism must pay off.
-		{"parallel", engine.TablesTrie, engine.LoadDynamic, 4},
+		{"parallel", engine.Config{Limits: engine.Limits{MaxParallel: 4}}},
 	}
 }
 
@@ -66,12 +65,12 @@ func benchConfigs() []benchConfig {
 // the tabled engine under the given configuration.
 func solveCorpus(tb testing.TB, cfg benchConfig) {
 	for _, p := range corpus.LogicPrograms() {
-		if _, err := prop.Analyze(p.Source, prop.Options{Tables: cfg.tables, Mode: cfg.mode, Parallel: cfg.parallel}); err != nil {
+		if _, err := prop.Analyze(p.Source, prop.Options{Engine: cfg.engine}); err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
 	}
 	for _, p := range corpus.FuncPrograms() {
-		if _, err := strict.Analyze(p.Source, strict.Options{Tables: cfg.tables, Mode: cfg.mode, Parallel: cfg.parallel}); err != nil {
+		if _, err := strict.Analyze(p.Source, strict.Options{Engine: cfg.engine}); err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"xlp/internal/corpus"
@@ -12,6 +14,7 @@ import (
 	"xlp/internal/engine"
 	"xlp/internal/obs"
 	"xlp/internal/prop"
+	"xlp/internal/service"
 	"xlp/internal/strict"
 )
 
@@ -25,7 +28,6 @@ type analyzeFlags struct {
 	fs       *flag.FlagSet
 	entry    string
 	k        int
-	compiled bool
 	loadMode string
 	bench    string
 	phases   bool
@@ -41,8 +43,7 @@ func newAnalyzeFlags(name string, withK bool) *analyzeFlags {
 	if withK {
 		af.fs.IntVar(&af.k, "k", 2, "term-depth bound")
 	}
-	af.fs.BoolVar(&af.compiled, "compiled", false, "use compiled loading (first-argument indexing); shorthand for -mode compiled")
-	af.fs.StringVar(&af.loadMode, "mode", "", "clause loading mode: dynamic (default), compiled, or closure")
+	af.fs.StringVar(&af.loadMode, "mode", "", "clause loading mode: dynamic (default) or closure")
 	af.fs.StringVar(&af.bench, "bench", "", "analyze a named corpus benchmark instead of a file")
 	af.fs.BoolVar(&af.phases, "phases", false, "print the phase-timing table (parse/transform/load/solve/collect)")
 	af.fs.StringVar(&af.trace, "trace", "", "write a Chrome trace_event file (open in chrome://tracing)")
@@ -52,24 +53,18 @@ func newAnalyzeFlags(name string, withK bool) *analyzeFlags {
 	return af
 }
 
-// mode resolves -mode (with -compiled as legacy shorthand) to the
-// engine's LoadMode; an unknown name is reported via the error.
-func (af *analyzeFlags) mode() (engine.LoadMode, error) {
+// engine resolves -mode and -parallel to the engine configuration; an
+// unknown mode name is reported via the error.
+func (af *analyzeFlags) engine() (engine.Config, error) {
+	cfg := engine.Config{Limits: engine.Limits{MaxParallel: af.parallel}}
 	switch af.loadMode {
-	case "":
-		if af.compiled {
-			return engine.LoadCompiled, nil
-		}
-		return engine.LoadDynamic, nil
-	case "dynamic":
-		return engine.LoadDynamic, nil
-	case "compiled":
-		return engine.LoadCompiled, nil
+	case "", "dynamic":
 	case "closure":
-		return engine.ModeClosure, nil
+		cfg.Mode = engine.ModeClosure
 	default:
-		return engine.LoadDynamic, fmt.Errorf("unknown -mode %q (want dynamic, compiled, or closure)", af.loadMode)
+		return cfg, fmt.Errorf("unknown -mode %q (want dynamic or closure)", af.loadMode)
 	}
+	return cfg, nil
 }
 
 // tracer returns a Trace when any trace-consuming flag is set; tracing
@@ -147,13 +142,21 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 }
 
 // runAnalyze dispatches the groundness/strictness/depthk subcommands.
+// The default output is a summary line plus a per-predicate (or
+// per-function) listing; -json prints the analysis service's response
+// document instead, so CLI and server output are schema-identical.
 func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 	af := newAnalyzeFlags(kind, kind == "depthk")
+	asJSON := af.fs.Bool("json", false, "emit the analysis-service response JSON instead of the listing")
+	noSupp := new(bool)
+	if kind == "strictness" {
+		noSupp = af.fs.Bool("nosupp", false, "disable supplementary tabling")
+	}
 	af.fs.SetOutput(stderr)
 	if err := af.fs.Parse(args); err != nil {
 		return 2
 	}
-	mode, err := af.mode()
+	cfg, err := af.engine()
 	if err != nil {
 		fmt.Fprintf(stderr, "xlp: %v\n", err)
 		return 2
@@ -161,6 +164,10 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 	src, name, ok := af.source(stderr)
 	if !ok {
 		return 2
+	}
+	var entry []string
+	if af.entry != "" {
+		entry = []string{af.entry}
 	}
 	tl := obs.NewTimeline()
 	tr := af.tracer()
@@ -170,52 +177,96 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var summary string
+	var resp *service.Response
+	var listing strings.Builder
 	switch kind {
 	case "groundness":
-		opts := prop.Options{Mode: mode, Parallel: af.parallel, Timeline: tl, Tracer: tracer}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
-		}
-		a, err := prop.Analyze(src, opts)
+		a, err := prop.Analyze(src, prop.Options{Engine: cfg, Entry: entry, Timeline: tl, Tracer: tracer})
 		if err != nil {
 			fmt.Fprintf(stderr, "xlp: %v\n", err)
 			return 1
 		}
-		summary = fmt.Sprintf("%s: Prop groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
+		resp = service.FromGroundness(a)
+		fmt.Fprintf(&listing, "%s: Prop groundness: %d predicates, %d subgoals, %d answers, tables %d bytes\n",
 			name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+		for _, r := range a.Sorted() {
+			if entry != nil && !r.Reachable {
+				fmt.Fprintf(&listing, "  %-16s unreachable\n", r.Indicator)
+				continue
+			}
+			fmt.Fprintf(&listing, "  %-16s success: %s\n", r.Indicator, r.FormatSuccess())
+			fmt.Fprintf(&listing, "  %-16s ground args: %s\n", "", boolVec(r.GroundArgs))
+			if len(r.Calls) > 0 {
+				pats := make([]string, len(r.Calls))
+				for i, c := range r.Calls {
+					pats[i] = c.String()
+				}
+				fmt.Fprintf(&listing, "  %-16s call patterns: %s\n", "", strings.Join(pats, " "))
+			}
+		}
 	case "strictness":
-		opts := strict.Options{Mode: mode, Parallel: af.parallel, Timeline: tl, Tracer: tracer}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
-		}
-		a, err := strict.Analyze(src, opts)
+		a, err := strict.Analyze(src, strict.Options{Engine: cfg, Entry: entry,
+			NoSupplementary: *noSupp, Timeline: tl, Tracer: tracer})
 		if err != nil {
 			fmt.Fprintf(stderr, "xlp: %v\n", err)
 			return 1
 		}
-		summary = fmt.Sprintf("%s: strictness: %d functions, %d subgoals, %d answers, tables %d bytes",
+		resp = service.FromStrictness(a)
+		fmt.Fprintf(&listing, "%s: strictness: %d functions, %d subgoals, %d answers, tables %d bytes\n",
 			name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
-	case "depthk":
-		opts := depthk.Options{K: af.k, Mode: mode, Parallel: af.parallel, Timeline: tl, Tracer: tracer}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
+		for _, r := range a.Sorted() {
+			fmt.Fprintf(&listing, "  %s\n", r)
+			for i := 0; i < r.Arity; i++ {
+				if r.Strict(i) {
+					fmt.Fprintf(&listing, "    strict in argument %d (demand %s under head demand)\n",
+						i+1, r.UnderD[i])
+				}
+			}
 		}
-		a, err := depthk.Analyze(src, opts)
+	case "depthk":
+		a, err := depthk.Analyze(src, depthk.Options{K: af.k, Engine: cfg, Entry: entry, Timeline: tl, Tracer: tracer})
 		if err != nil {
 			fmt.Fprintf(stderr, "xlp: %v\n", err)
 			return 1
 		}
-		summary = fmt.Sprintf("%s: depth-%d groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
+		resp = service.FromDepthK(a)
+		fmt.Fprintf(&listing, "%s: depth-%d groundness: %d predicates, %d subgoals, %d answers, tables %d bytes\n",
 			name, a.K, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+		for _, ind := range sortedKeys(a.Results) {
+			r := a.Results[ind]
+			fmt.Fprintf(&listing, "  %-16s ground args: %s\n    patterns: %s\n",
+				ind, boolVec(r.GroundArgs), r.Format())
+		}
 	default:
 		fmt.Fprintf(stderr, "xlp: unknown analysis %q\n", kind)
 		return 2
 	}
 	wall := time.Since(start)
 
-	fmt.Fprintln(stdout, summary)
+	if *asJSON {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(resp); err != nil {
+			fmt.Fprintf(stderr, "xlp: %v\n", err)
+			return 2
+		}
+	} else {
+		fmt.Fprint(stdout, listing.String())
+	}
 	return af.report(stdout, stderr, tl, tr, wall)
+}
+
+// boolVec renders per-argument groundness as (g,?,...).
+func boolVec(bs []bool) string {
+	parts := make([]string, len(bs))
+	for i, b := range bs {
+		if b {
+			parts[i] = "g"
+		} else {
+			parts[i] = "?"
+		}
+	}
+	return "(" + strings.Join(parts, ",") + ")"
 }
 
 // runVersion implements "xlp version".

@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	xlp [-compiled] [-tables] prog.pl ... -q 'goal(X, Y)'
+//	xlp [-tables] prog.pl ... -q 'goal(X, Y)'
 //	xlp prog.pl            # read queries from stdin, one per line
 //	xlp lint [-json] [-fl] [-entry p/n,...] prog.pl ...
-//	xlp groundness|strictness|depthk [-mode m] [-phases] [-trace f] [-events f] [-top n] prog
+//	xlp groundness|strictness|depthk [-mode m] [-json] [-phases] [-trace f] [-events f] [-top n] prog
 //	xlp why [-pred p/n] [-format text|json|dot] [-fl] [-mode m] [-max-nodes n] prog
 //	xlp compile [-dump] [-json] prog
 //	xlp gen [-shape s] [-seed n] [-meta]
@@ -21,11 +21,14 @@
 // and metamorphic transform as a differential oracle, shrinking any
 // disagreement to a minimal counterexample (exit 1 on findings).
 //
-// The analyze subcommands run one analyzer with observability attached:
-// -phases prints the parse/transform/load/solve/collect wall-time table,
-// -trace writes a Chrome trace_event file (chrome://tracing), -events
-// writes the engine event stream as JSONL, and -top prints the largest
-// call tables by canonical bytes.
+// The analyze subcommands run one analyzer and print a summary line and
+// a per-predicate (per-function) listing, or with -json the analysis
+// service's response document; depthk takes -k, strictness -nosupp.
+// They attach observability on request: -phases prints the
+// parse/transform/load/solve/collect wall-time table, -trace writes a
+// Chrome trace_event file (chrome://tracing), -events writes the engine
+// event stream as JSONL, and -top prints the largest call tables by
+// canonical bytes.
 //
 // lint exits 0 when every file is clean (warnings allowed), 1 when any
 // file has error-severity diagnostics, 2 on usage or I/O errors.
@@ -62,15 +65,11 @@ func main() {
 		}
 	}
 	query := flag.String("q", "", "query to run (default: read queries from stdin)")
-	compiled := flag.Bool("compiled", false, "use compiled loading (first-argument indexing)")
 	dumpTables := flag.Bool("tables", false, "dump call/answer tables after the query")
 	max := flag.Int("n", 0, "stop after n solutions (0 = all)")
 	flag.Parse()
 
 	m := engine.New()
-	if *compiled {
-		m.Mode = engine.LoadCompiled
-	}
 	for _, file := range flag.Args() {
 		data, err := os.ReadFile(file)
 		if err != nil {

@@ -35,7 +35,7 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "xlp: unknown -format %q (want text, json, or dot)\n", *format)
 		return 2
 	}
-	mode, err := af.mode()
+	cfg, err := af.engine()
 	if err != nil {
 		fmt.Fprintf(stderr, "xlp: %v\n", err)
 		return 2
@@ -58,7 +58,7 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 	var explain func(pred string) (*obs.Derivation, error)
 	var preds []string
 	if *flLang {
-		opts := strict.Options{Mode: mode, Provenance: true}
+		opts := strict.Options{Engine: cfg, Provenance: true}
 		if af.entry != "" {
 			opts.Entry = []string{af.entry}
 		}
@@ -70,7 +70,7 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 		explain = func(p string) (*obs.Derivation, error) { return a.Explain(p, *maxNodes) }
 		preds = sortedKeys(a.SpPreds)
 	} else {
-		opts := prop.Options{Mode: mode, Provenance: true}
+		opts := prop.Options{Engine: cfg, Provenance: true}
 		if af.entry != "" {
 			opts.Entry = []string{af.entry}
 		}
@@ -122,7 +122,7 @@ func pickDerivation(explain func(string) (*obs.Derivation, error), pred string, 
 	return nil, fmt.Errorf("no predicate recorded any answer")
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

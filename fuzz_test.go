@@ -32,7 +32,7 @@ func FuzzAnalyzeGroundness(f *testing.F) {
 	f.Add(":- table p/1.\np(a).\np(f(X)) :- p(X).")
 	limits := Limits{MaxDepth: 10_000, MaxAnswers: 20_000, MaxSubgoals: 2_000}
 	f.Fuzz(func(t *testing.T, src string) {
-		a, err := AnalyzeGroundness(src, GroundnessOptions{Limits: limits})
+		a, err := AnalyzeGroundness(src, GroundnessOptions{Engine: engine.Config{Limits: limits}})
 		if err != nil {
 			return
 		}

@@ -60,20 +60,16 @@ type pred struct {
 
 // Analyze runs the analysis on a Prolog program.
 func Analyze(src string) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), src)
+	return AnalyzeWith(context.Background(), src, nil)
 }
 
-// AnalyzeCtx is Analyze with cooperative cancellation: once ctx ends the
-// run fails with engine.ErrCanceled or engine.ErrDeadline. The context
-// is polled once per predicate per fixpoint iteration.
-func AnalyzeCtx(ctx context.Context, src string) (*Analysis, error) {
-	return AnalyzeTimed(ctx, src, nil)
-}
-
-// AnalyzeTimed is AnalyzeCtx with a phase timeline: when tl is non-nil
-// it records parse/load/solve/collect spans (clause preparation is the
-// load phase; this analyzer has no transform step).
-func AnalyzeTimed(ctx context.Context, src string, tl *obs.Timeline) (*Analysis, error) {
+// AnalyzeWith is Analyze with cooperative cancellation and a phase
+// timeline. Once ctx ends the run fails with engine.ErrCanceled or
+// engine.ErrDeadline; the context is polled once per predicate per
+// fixpoint iteration. A non-nil tl records parse/load/solve/collect
+// spans (clause preparation is the load phase; this analyzer has no
+// transform step).
+func AnalyzeWith(ctx context.Context, src string, tl *obs.Timeline) (*Analysis, error) {
 	defer tl.End()
 	t0 := time.Now()
 	tl.Start("parse")

@@ -272,8 +272,7 @@ func instantiate(skel term.Term, fr []term.Term) term.Term {
 	}
 }
 
-// buildIndex builds the first-argument index, preserving the engine's
-// bucket discipline: a variable-first clause matches every call, so it
+// buildIndex builds the first-argument index: a variable-first clause matches every call, so it
 // joins every existing bucket and seeds every later one, interleaved in
 // source order.
 func (p *Pred) buildIndex() {

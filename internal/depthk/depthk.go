@@ -420,17 +420,12 @@ func builtinAbstraction(f string, args []term.Term) ([]term.Term, bool) {
 
 // Options configure a depth-k analysis run.
 type Options struct {
-	K    int // depth bound (default 2)
-	Mode engine.LoadMode
-	// Tables selects the engine's table representation: trie-indexed
-	// (default) or canonical-string maps (engine.TablesStringMap).
-	Tables engine.TablesImpl
-	Limits engine.Limits
-	// Parallel bounds intra-query concurrency during the solve phase
-	// (engine.Limits.MaxParallel): independent open calls evaluate on
-	// concurrent machine shards. 0 or 1 solves sequentially. Results
-	// and engine stats are identical either way.
-	Parallel int
+	K int // depth bound (default 2)
+	// Engine configures the engine: clause backend, table representation
+	// and resource limits. Engine.Limits.MaxParallel > 1 evaluates
+	// independent open calls on concurrent machine shards; results and
+	// engine stats are identical either way.
+	Engine engine.Config
 	// Entry restricts the analysis to the given predicates ("p/n", or
 	// bare "p" matching every arity): only they are open-called, so
 	// evaluation explores exactly their call-graph cone. When empty,
@@ -519,10 +514,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	}
 	tl.Start("load")
 	m := engine.New()
-	m.Mode = opts.Mode
-	m.Tables = opts.Tables
-	m.Limits = opts.Limits
-	m.Limits.MaxParallel = opts.Parallel
+	m.Config = opts.Engine
 	m.SetContext(opts.Ctx)
 	m.SetTracer(opts.Tracer)
 	RegisterBuiltins(m, opts.K)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xlp/internal/engine"
+	"xlp/internal/obs"
 	"xlp/internal/prop"
 	"xlp/internal/term"
 )
@@ -231,4 +233,30 @@ func TestAgreesWithPropOnSimplePrograms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEngineMaxParallelReachesSolver: a caller's
+// Engine.Limits.MaxParallel must reach the machine, so independent open
+// calls are scheduled as parallel goal groups.
+func TestEngineMaxParallelReachesSolver(t *testing.T) {
+	tr := obs.NewTrace(0)
+	src := "p(a). p(b).\nq(f(X)) :- p(X).\nr(g(Y)) :- Y = c.\n"
+	_, err := Analyze(src, Options{Engine: engine.Config{Limits: engine.Limits{MaxParallel: 4}}, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallelGroups(tr) == 0 {
+		t.Fatal("no parallel_group event: Engine.Limits.MaxParallel did not reach the engine")
+	}
+}
+
+// parallelGroups counts the SolveAll goal groups a trace recorded.
+func parallelGroups(tr *obs.Trace) int {
+	n := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.EvParallelGroup {
+			n++
+		}
+	}
+	return n
 }

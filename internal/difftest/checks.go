@@ -59,7 +59,7 @@ func Checks() []Check {
 	return []Check{
 		{Name: "prop-gaia", Lang: randgen.LangProlog, Run: propVsGaia},
 		{Name: "prop-bdd", Lang: randgen.LangProlog, Run: propVsBDD},
-		{Name: "modes_threeway", AnyLang: true, Run: modesThreeway},
+		{Name: "modes_interp_vs_closure", AnyLang: true, Run: modesInterpVsClosure},
 		{Name: "prop-pureiff", Lang: randgen.LangProlog, Run: propPureIff},
 		{Name: "prop-slice", Lang: randgen.LangProlog, Run: propSlice},
 		{Name: "prop-alpha", Lang: randgen.LangProlog, Run: propAlpha},
@@ -137,16 +137,15 @@ func propVsBDD(m Meta, src string) error {
 	return diffSummaries("prop", "bdd", propSuccessOnly(pr), bddSummary(bd), true)
 }
 
-// loadModes are the three clause-resolution backends the modes_threeway
-// oracle holds against each other: the interpreter (LoadDynamic), the
-// first-argument-indexed interpreter (LoadCompiled), and the closure
-// compiler (ModeClosure).
+// loadModes are the two clause-resolution backends: the interpreter
+// (LoadDynamic) and the closure compiler (ModeClosure). The
+// modes_interp_vs_closure oracle holds them against each other; the
+// parallel and provenance oracles run under both.
 var loadModes = []struct {
 	name string
 	mode engine.LoadMode
 }{
 	{"interp", engine.LoadDynamic},
-	{"indexed", engine.LoadCompiled},
 	{"closure", engine.ModeClosure},
 }
 
@@ -168,17 +167,17 @@ func propModeSummary(a *prop.Analysis) map[string]string {
 	return out
 }
 
-// modesThreeway: the three clause-resolution modes must agree exactly —
+// modesInterpVsClosure: the two clause-resolution modes must agree exactly —
 // answers, groundness, reachability, and recorded call patterns — on
 // every program. Prolog shapes run the groundness analysis open-call
 // and (when the program has an entry) goal-directed; FL shapes run the
 // strictness analysis; generated Prolog programs additionally run the
 // depth-k analysis, whose abstract answer sets are compared verbatim.
-func modesThreeway(m Meta, src string) error {
+func modesInterpVsClosure(m Meta, src string) error {
 	if m.Shape.Lang() == randgen.LangFL {
 		sums := make([]map[string]string, len(loadModes))
 		for i, lm := range loadModes {
-			a, err := strict.Analyze(src, strict.Options{Mode: lm.mode})
+			a, err := strict.Analyze(src, strict.Options{Engine: engine.Config{Mode: lm.mode}})
 			if err != nil {
 				return fmt.Errorf("error: strict %s: %w", lm.name, err)
 			}
@@ -194,7 +193,7 @@ func modesThreeway(m Meta, src string) error {
 	for _, o := range opts {
 		sums := make([]map[string]string, len(loadModes))
 		for i, lm := range loadModes {
-			o.Mode = lm.mode
+			o.Engine.Mode = lm.mode
 			a, err := prop.Analyze(src, o)
 			if err != nil {
 				return fmt.Errorf("error: prop %s: %w", lm.name, err)
@@ -212,7 +211,7 @@ func modesThreeway(m Meta, src string) error {
 	}
 	sums := make([]map[string]string, len(loadModes))
 	for i, lm := range loadModes {
-		a, err := depthk.Analyze(src, depthk.Options{K: depthkK, Mode: lm.mode})
+		a, err := depthk.Analyze(src, depthk.Options{K: depthkK, Engine: engine.Config{Mode: lm.mode}})
 		if err != nil {
 			return fmt.Errorf("error: depthk %s: %w", lm.name, err)
 		}
@@ -221,15 +220,10 @@ func modesThreeway(m Meta, src string) error {
 	return diffModeSummaries(sums)
 }
 
-// diffModeSummaries holds every mode's summary against the
+// diffModeSummaries holds the closure summary against the
 // interpreter's.
 func diffModeSummaries(sums []map[string]string) error {
-	for i := 1; i < len(loadModes); i++ {
-		if err := diffSummaries(loadModes[0].name, loadModes[i].name, sums[0], sums[i], false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return diffSummaries(loadModes[0].name, loadModes[1].name, sums[0], sums[1], false)
 }
 
 // propPureIff: native iff/N builtin vs generated pure Prolog clauses.
@@ -525,11 +519,11 @@ func diffEngineStats(aName, bName string, a, b engine.Stats) error {
 // FL shapes through the strictness analyzer.
 func tablesTrieVsStringmap(m Meta, src string) error {
 	if m.Shape.Lang() == randgen.LangFL {
-		trie, err := strict.Analyze(src, strict.Options{Tables: engine.TablesTrie})
+		trie, err := strict.Analyze(src, strict.Options{})
 		if err != nil {
 			return fmt.Errorf("error: strict trie: %w", err)
 		}
-		smap, err := strict.Analyze(src, strict.Options{Tables: engine.TablesStringMap})
+		smap, err := strict.Analyze(src, strict.Options{Engine: engine.Config{Tables: engine.TablesStringMap}})
 		if err != nil {
 			return fmt.Errorf("error: strict stringmap: %w", err)
 		}
@@ -538,11 +532,11 @@ func tablesTrieVsStringmap(m Meta, src string) error {
 		}
 		return diffEngineStats("trie", "stringmap", trie.EngineStats, smap.EngineStats)
 	}
-	trie, err := prop.Analyze(src, prop.Options{Tables: engine.TablesTrie})
+	trie, err := prop.Analyze(src, prop.Options{})
 	if err != nil {
 		return fmt.Errorf("error: prop trie: %w", err)
 	}
-	smap, err := prop.Analyze(src, prop.Options{Tables: engine.TablesStringMap})
+	smap, err := prop.Analyze(src, prop.Options{Engine: engine.Config{Tables: engine.TablesStringMap}})
 	if err != nil {
 		return fmt.Errorf("error: prop stringmap: %w", err)
 	}
@@ -561,11 +555,11 @@ func tablesTrieVsStringmap(m Meta, src string) error {
 	if len(m.Preds) == 0 {
 		return nil
 	}
-	dkTrie, err := depthk.Analyze(src, depthk.Options{K: depthkK, Tables: engine.TablesTrie})
+	dkTrie, err := depthk.Analyze(src, depthk.Options{K: depthkK})
 	if err != nil {
 		return fmt.Errorf("error: depthk trie: %w", err)
 	}
-	dkSmap, err := depthk.Analyze(src, depthk.Options{K: depthkK, Tables: engine.TablesStringMap})
+	dkSmap, err := depthk.Analyze(src, depthk.Options{K: depthkK, Engine: engine.Config{Tables: engine.TablesStringMap}})
 	if err != nil {
 		return fmt.Errorf("error: depthk stringmap: %w", err)
 	}
@@ -580,6 +574,11 @@ func tablesTrieVsStringmap(m Meta, src string) error {
 // enough that independent goal groups genuinely interleave.
 const parGoals = 4
 
+// parEngine is the engine configuration of the oracle's parallel run.
+func parEngine(mode engine.LoadMode) engine.Config {
+	return engine.Config{Mode: mode, Limits: engine.Limits{MaxParallel: parGoals}}
+}
+
 // parallelVsSequential: intra-query parallel evaluation must be
 // semantically invisible. Every analysis run with options.parallel set
 // must match the sequential run exactly — answers, recorded call
@@ -591,16 +590,13 @@ const parGoals = 4
 // an entry, goal-directed) plus depth-k on generated programs; FL
 // shapes through the strictness analyzer.
 func parallelVsSequential(m Meta, src string) error {
-	for _, lm := range []struct {
-		name string
-		mode engine.LoadMode
-	}{{"interp", engine.LoadDynamic}, {"closure", engine.ModeClosure}} {
+	for _, lm := range loadModes {
 		if m.Shape.Lang() == randgen.LangFL {
-			seq, err := strict.Analyze(src, strict.Options{Mode: lm.mode})
+			seq, err := strict.Analyze(src, strict.Options{Engine: engine.Config{Mode: lm.mode}})
 			if err != nil {
 				return fmt.Errorf("error: strict %s seq: %w", lm.name, err)
 			}
-			par, err := strict.Analyze(src, strict.Options{Mode: lm.mode, Parallel: parGoals})
+			par, err := strict.Analyze(src, strict.Options{Engine: parEngine(lm.mode)})
 			if err != nil {
 				return fmt.Errorf("error: strict %s par: %w", lm.name, err)
 			}
@@ -613,16 +609,16 @@ func parallelVsSequential(m Meta, src string) error {
 			continue
 		}
 		var opts []prop.Options
-		opts = append(opts, prop.Options{Mode: lm.mode})
+		opts = append(opts, prop.Options{Engine: engine.Config{Mode: lm.mode}})
 		if m.Entry != "" {
-			opts = append(opts, prop.Options{Mode: lm.mode, Entry: []string{m.Entry}})
+			opts = append(opts, prop.Options{Engine: engine.Config{Mode: lm.mode}, Entry: []string{m.Entry}})
 		}
 		for _, o := range opts {
 			seq, err := prop.Analyze(src, o)
 			if err != nil {
 				return fmt.Errorf("error: prop %s seq: %w", lm.name, err)
 			}
-			o.Parallel = parGoals
+			o.Engine = parEngine(lm.mode)
 			par, err := prop.Analyze(src, o)
 			if err != nil {
 				return fmt.Errorf("error: prop %s par: %w", lm.name, err)
@@ -640,11 +636,11 @@ func parallelVsSequential(m Meta, src string) error {
 		if len(m.Preds) == 0 {
 			continue
 		}
-		seq, err := depthk.Analyze(src, depthk.Options{K: depthkK, Mode: lm.mode})
+		seq, err := depthk.Analyze(src, depthk.Options{K: depthkK, Engine: engine.Config{Mode: lm.mode}})
 		if err != nil {
 			return fmt.Errorf("error: depthk %s seq: %w", lm.name, err)
 		}
-		par, err := depthk.Analyze(src, depthk.Options{K: depthkK, Mode: lm.mode, Parallel: parGoals})
+		par, err := depthk.Analyze(src, depthk.Options{K: depthkK, Engine: parEngine(lm.mode)})
 		if err != nil {
 			return fmt.Errorf("error: depthk %s par: %w", lm.name, err)
 		}
@@ -667,16 +663,13 @@ func parallelVsSequential(m Meta, src string) error {
 // analyzer, FL shapes through strictness) and under both the clause
 // interpreter and the closure compiler, whose recording paths differ.
 func provenanceSound(m Meta, src string) error {
-	for _, lm := range []struct {
-		name string
-		mode engine.LoadMode
-	}{{"interp", engine.LoadDynamic}, {"closure", engine.ModeClosure}} {
+	for _, lm := range loadModes {
 		if m.Shape.Lang() == randgen.LangFL {
-			off, err := strict.Analyze(src, strict.Options{Mode: lm.mode})
+			off, err := strict.Analyze(src, strict.Options{Engine: engine.Config{Mode: lm.mode}})
 			if err != nil {
 				return fmt.Errorf("error: strict %s: %w", lm.name, err)
 			}
-			on, err := strict.Analyze(src, strict.Options{Mode: lm.mode, Provenance: true})
+			on, err := strict.Analyze(src, strict.Options{Engine: engine.Config{Mode: lm.mode}, Provenance: true})
 			if err != nil {
 				return fmt.Errorf("error: strict %s prov: %w", lm.name, err)
 			}
@@ -691,11 +684,11 @@ func provenanceSound(m Meta, src string) error {
 			}
 			continue
 		}
-		off, err := prop.Analyze(src, prop.Options{Mode: lm.mode})
+		off, err := prop.Analyze(src, prop.Options{Engine: engine.Config{Mode: lm.mode}})
 		if err != nil {
 			return fmt.Errorf("error: prop %s: %w", lm.name, err)
 		}
-		on, err := prop.Analyze(src, prop.Options{Mode: lm.mode, Provenance: true})
+		on, err := prop.Analyze(src, prop.Options{Engine: engine.Config{Mode: lm.mode}, Provenance: true})
 		if err != nil {
 			return fmt.Errorf("error: prop %s prov: %w", lm.name, err)
 		}

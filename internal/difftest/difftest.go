@@ -3,7 +3,7 @@
 // observation — the same analysis computed by very different engines
 // yields identical results — is taken as an executable oracle: every
 // backend pair that must agree (prop vs gaia vs bddprop, dynamic vs
-// compiled loading, native vs pure iff, sliced vs unsliced, tabled
+// closure-compiled loading, native vs pure iff, sliced vs unsliced, tabled
 // top-down vs bottom-up on Datalog, strictness with and without
 // supplementary tabling) is checked for result equality, alongside
 // metamorphic transforms (variable and predicate renaming, clause and

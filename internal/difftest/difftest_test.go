@@ -72,13 +72,13 @@ func TestTablesImplCorpusSweep(t *testing.T) {
 }
 
 // TestModesThreewayCorpusSweep runs the full benchmark corpus through
-// the modes_threeway oracle: the interpreter, the first-argument-indexed
-// interpreter, and the closure compiler must produce identical analysis
-// results (answers and recorded calls) on every real program.
+// the modes_interp_vs_closure oracle: the interpreter and the closure
+// compiler must produce identical analysis results (answers and
+// recorded calls) on every real program.
 func TestModesThreewayCorpusSweep(t *testing.T) {
-	c, ok := CheckByName("modes_threeway")
+	c, ok := CheckByName("modes_interp_vs_closure")
 	if !ok {
-		t.Fatal("modes_threeway not registered")
+		t.Fatal("modes_interp_vs_closure not registered")
 	}
 	for _, p := range corpus.LogicPrograms() {
 		p := p

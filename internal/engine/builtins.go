@@ -310,13 +310,7 @@ func biRetract(m *Machine, args []term.Term, k func() bool) bool {
 			for j, c := range p.Clauses {
 				c.Nth = j
 			}
-			if p.indexed {
-				p.index = map[string][]*Clause{}
-				p.varFirst = nil
-				for _, c := range p.Clauses {
-					p.addToIndex(c)
-				}
-			}
+			p.closure = nil // invalidate cached closure code
 			stop := k()
 			m.trail.Undo(mark)
 			return stop
@@ -365,17 +359,7 @@ func (m *Machine) assertFront(clause term.Term) error {
 	for i, c := range p.Clauses {
 		c.Nth = i
 	}
-	if m.Mode == LoadCompiled {
-		// Rebuild the index for this predicate to preserve order.
-		p.indexed = false
-		p.index = nil
-		p.varFirst = nil
-		p.indexed = true
-		p.index = map[string][]*Clause{}
-		for _, c := range p.Clauses {
-			p.addToIndex(c)
-		}
-	}
+	p.closure = nil // invalidate cached closure code
 	return nil
 }
 

@@ -1,8 +1,7 @@
 package engine
 
-// Closure-compiled clause resolution (ModeClosure): the third load mode
-// beside interpreted (LoadDynamic) and first-argument-indexed
-// (LoadCompiled). Predicates are translated by internal/compile into Go
+// Closure-compiled clause resolution (ModeClosure): the load mode beside
+// interpreted (LoadDynamic). Predicates are translated by internal/compile into Go
 // closures — specialized head matchers plus body continuation chains —
 // and this file owns the engine side of the contract: the clause loops
 // that frame each activation with a trail checkpoint and the cut
@@ -10,8 +9,8 @@ package engine
 //
 // The loops below mirror resolveClauses and runProducer's clause pass
 // line for line (stats, tracer events, mark/undo, barrier handling), so
-// the three modes are observationally equivalent up to resolution
-// counts — the property the difftest three-way oracle checks.
+// the two modes are observationally equivalent up to resolution counts —
+// the property the difftest interp-vs-closure oracle checks.
 
 import (
 	"sort"

@@ -383,50 +383,6 @@ func TestCutInTabledPredicateRejected(t *testing.T) {
 	}
 }
 
-func TestCompiledModeSameResults(t *testing.T) {
-	src := `
-		:- table path/2.
-		edge(a, b). edge(b, c). edge(c, a). edge(b, d).
-		path(X, Y) :- edge(X, Y).
-		path(X, Y) :- edge(X, Z), path(Z, Y).
-	`
-	m1 := New()
-	if err := m1.Consult(src); err != nil {
-		t.Fatal(err)
-	}
-	m2 := New()
-	m2.Mode = LoadCompiled
-	if err := m2.Consult(src); err != nil {
-		t.Fatal(err)
-	}
-	g1 := sortedQuery(t, m1, "path(a, W)")
-	g2 := sortedQuery(t, m2, "path(a, W)")
-	eqStrings(t, g1, g2)
-}
-
-func TestFirstArgIndexing(t *testing.T) {
-	src := `
-		p(a, 1). p(b, 2). p(c, 3). p(X, 0) :- atom(X).
-	`
-	m := New()
-	m.Mode = LoadCompiled
-	if err := m.Consult(src); err != nil {
-		t.Fatal(err)
-	}
-	eqStrings(t, queryStrings(t, m, "p(b, N)"), []string{"p(b,2)", "p(b,0)"})
-	// Indexed resolution should try fewer clauses than the 4 loaded.
-	before := m.Stats().Resolutions
-	if _, err := m.Query("p(c, N)"); err != nil {
-		t.Fatal(err)
-	}
-	tried := m.Stats().Resolutions - before
-	if tried > 2 {
-		t.Fatalf("index should narrow to 2 candidates, tried %d", tried)
-	}
-	// Unseen key falls back to var-first clauses only.
-	eqStrings(t, queryStrings(t, m, "p(zz, N)"), []string{"p(zz,0)"})
-}
-
 func TestResetTables(t *testing.T) {
 	m := newMachine(t, `
 		:- table p/1.

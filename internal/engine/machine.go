@@ -1,8 +1,7 @@
 // Package engine implements a tabled logic-programming engine in the
 // spirit of the XSB system used by the paper: SLD resolution for
 // non-tabled predicates, variant-based tabling for tabled predicates,
-// dynamic clause loading ("assert") and a compiled mode with
-// first-argument indexing.
+// dynamic clause loading ("assert") and a closure-compiled mode.
 //
 // Completeness. For tabled predicates the engine computes the full set of
 // answers of the minimal model restricted to the call, terminating
@@ -42,18 +41,14 @@ const (
 	// LoadDynamic stores clauses as parsed (XSB's assert + call/1 path):
 	// minimal preprocessing, linear clause scan at call time.
 	LoadDynamic LoadMode = iota
-	// LoadCompiled additionally normalizes clause bodies and builds a
-	// first-argument index per predicate: more preprocessing, faster
-	// resolution.
-	LoadCompiled
-	// ModeClosure additionally translates every predicate into Go
-	// closures (internal/compile): head unification is specialized per
-	// clause, clause selection dispatches through an index keyed by
-	// interned symbols, and bodies become continuation chains. The
-	// highest preprocessing cost and the fastest resolution — the "true
-	// compilation" side of the paper's §4 tradeoff. Tabling semantics
-	// are unchanged: calls still go through the call/answer tables, only
-	// the SLD resolution inside a subgoal runs compiled.
+	// ModeClosure translates every predicate into Go closures
+	// (internal/compile): head unification is specialized per clause,
+	// clause selection dispatches through an index keyed by interned
+	// symbols, and bodies become continuation chains. More preprocessing
+	// and faster resolution — the "true compilation" side of the paper's
+	// §4 tradeoff. Tabling semantics are unchanged: calls still go
+	// through the call/answer tables, only the SLD resolution inside a
+	// subgoal runs compiled.
 	ModeClosure
 )
 
@@ -170,13 +165,10 @@ type Pred struct {
 	Tabled    bool
 	Clauses   []*Clause
 
-	indexed  bool
-	index    map[string][]*Clause // principal-functor key of first arg
-	varFirst []*Clause            // clauses whose first head arg is a variable
-
 	// closure is the cached compiled form (ModeClosure); nil until first
-	// use and invalidated by Assert. It survives ResetTables so repeated
-	// analyses on a warm machine reuse compiled code.
+	// use and invalidated by Assert, asserta and retract. It survives
+	// ResetTables so repeated analyses on a warm machine reuse compiled
+	// code.
 	closure *compile.Pred
 }
 
@@ -214,14 +206,22 @@ func (t TablesImpl) String() string {
 // consumers need not import the term package for it).
 const TrieNodeBytes = term.TrieNodeBytes
 
-// Machine is a logic program plus its evaluation state.
-type Machine struct {
-	Mode   LoadMode
-	Limits Limits
+// Config is the engine configuration an analysis passes through to its
+// machine: the clause backend, the table representation and the
+// resource bounds. The zero value is the default (dynamic loading, trie
+// tables, default limits, sequential evaluation).
+type Config struct {
+	Mode LoadMode
 	// Tables selects the table representation (default TablesTrie). Set
 	// it before the first query; changing it between queries without
 	// ResetTables has no effect on already-built tables.
 	Tables TablesImpl
+	Limits Limits
+}
+
+// Machine is a logic program plus its evaluation state.
+type Machine struct {
+	Config
 	// Provenance enables justification recording (see provenance.go):
 	// every distinct tabled answer records its producing clause and the
 	// tabled premise answers consumed, retrievable via Justification and
@@ -420,9 +420,6 @@ func (m *Machine) assertAt(clause term.Term, pos prolog.Pos) error {
 	cl.compile()
 	p.Clauses = append(p.Clauses, cl)
 	p.closure = nil // invalidate cached closure code
-	if m.Mode == LoadCompiled {
-		p.addToIndex(cl)
-	}
 	return nil
 }
 
@@ -457,9 +454,6 @@ func (m *Machine) ConsultTerms(clauses []term.Term) error {
 
 // finishLoad runs the mode-specific preprocessing after a batch load.
 func (m *Machine) finishLoad() {
-	if m.Mode == LoadCompiled {
-		m.buildIndexes()
-	}
 	if m.Mode == ModeClosure {
 		// Compile eagerly so the cost is paid at load time (the paper's
 		// preprocessing phase), not inside the first query's solve time.
@@ -509,85 +503,6 @@ func parseIndicator(t term.Term) (string, error) {
 		return "", fmt.Errorf("engine: bad predicate indicator %v", t)
 	}
 	return fmt.Sprintf("%s/%d", name, arity), nil
-}
-
-// buildIndexes (re)builds first-argument indexes for every predicate.
-// This is the "full compilation" preprocessing step of the paper's §4
-// comparison; its cost is charged to preprocessing time by the harness.
-func (m *Machine) buildIndexes() {
-	for _, p := range m.preds {
-		p.indexed = true
-		p.index = map[string][]*Clause{}
-		p.varFirst = nil
-		for _, cl := range p.Clauses {
-			p.addToIndex(cl)
-		}
-	}
-}
-
-func (p *Pred) addToIndex(cl *Clause) {
-	if !p.indexed {
-		p.indexed = true
-		p.index = map[string][]*Clause{}
-	}
-	key, isVar := firstArgKey(cl.Head)
-	if isVar {
-		p.varFirst = append(p.varFirst, cl)
-		// A clause with variable first argument matches every call; it
-		// must appear in every bucket. Buckets created later copy
-		// varFirst, existing buckets get it appended here.
-		for k := range p.index {
-			p.index[k] = insertOrdered(p.index[k], cl)
-		}
-		return
-	}
-	if _, ok := p.index[key]; !ok {
-		p.index[key] = append([]*Clause{}, p.varFirst...)
-	}
-	p.index[key] = insertOrdered(p.index[key], cl)
-}
-
-func insertOrdered(cls []*Clause, cl *Clause) []*Clause {
-	cls = append(cls, cl)
-	for i := len(cls) - 1; i > 0 && cls[i-1].Nth > cls[i].Nth; i-- {
-		cls[i-1], cls[i] = cls[i], cls[i-1]
-	}
-	return cls
-}
-
-// firstArgKey returns the index key of a clause head's first argument.
-func firstArgKey(head term.Term) (key string, isVar bool) {
-	_, args, _ := term.FunctorArity(head)
-	if len(args) == 0 {
-		return "$noargs", false
-	}
-	switch a := term.Deref(args[0]).(type) {
-	case *term.Var:
-		return "", true
-	case term.Atom:
-		return "a:" + string(a), false
-	case term.Int:
-		return fmt.Sprintf("i:%d", a), false
-	case *term.Compound:
-		return fmt.Sprintf("s:%s/%d", a.Functor, len(a.Args)), false
-	}
-	return "$other", false
-}
-
-// clausesFor returns the candidate clauses for a call, using the
-// first-argument index when available.
-func (p *Pred) clausesFor(goal term.Term) []*Clause {
-	if !p.indexed {
-		return p.Clauses
-	}
-	key, isVar := firstArgKey(goal)
-	if isVar {
-		return p.Clauses
-	}
-	if cls, ok := p.index[key]; ok {
-		return cls
-	}
-	return p.varFirst
 }
 
 // engineError carries an evaluation error out of deep recursion.

@@ -219,8 +219,9 @@ func (m *Machine) solveAllParallel(goals []term.Term, groups [][]int, par int) e
 		r.mach.tracer = shardTracer
 		runs[gi] = r
 		m.parStats.ParGoals += len(grp)
-		if m.tracer != nil {
-			m.tracer.Emit(obs.EvParallelGroup, "$solveall", len(grp))
+		if shardTracer != nil {
+			// Locked: shards of earlier groups are already emitting.
+			shardTracer.Emit(obs.EvParallelGroup, "$solveall", len(grp))
 		}
 		wg.Add(1)
 		go func(r *shardRun) {
@@ -260,9 +261,7 @@ func (m *Machine) solveAllParallel(goals []term.Term, groups [][]int, par int) e
 // state. The shard observes the parent's context for cancellation.
 func (m *Machine) fork() *Machine {
 	return &Machine{
-		Mode:              m.Mode,
-		Limits:            m.Limits,
-		Tables:            m.Tables,
+		Config:            m.Config,
 		Provenance:        m.Provenance,
 		Out:               m.Out,
 		AnswerAbstraction: m.AnswerAbstraction,

@@ -135,16 +135,15 @@ func (m *Machine) solveNegation(g term.Term, k func() bool) bool {
 	return k()
 }
 
-// resolveClauses is ordinary SLD resolution over the predicate's clauses
-// (first-argument indexed in compiled mode). It owns a cut barrier: a
-// cut in a clause body commits to that clause and to the bindings made
-// so far in the body.
+// resolveClauses is ordinary SLD resolution over the predicate's clauses.
+// It owns a cut barrier: a cut in a clause body commits to that clause
+// and to the bindings made so far in the body.
 func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
 	if m.Mode == ModeClosure {
 		return m.resolveClosure(p, goal, k)
 	}
 	cut := false
-	for _, cl := range p.clausesFor(goal) {
+	for _, cl := range p.Clauses {
 		m.stats.Resolutions++
 		if m.tracer != nil {
 			m.tracer.Emit(obs.EvResolutions, p.Indicator, 1)

@@ -242,7 +242,7 @@ func (m *Machine) runProducer(sg *subgoal) {
 			if m.Mode == ModeClosure {
 				m.producePassClosure(sg)
 			} else {
-				for _, cl := range sg.pred.clausesFor(sg.goal) {
+				for _, cl := range sg.pred.Clauses {
 					m.stats.Resolutions++
 					if m.tracer != nil {
 						m.tracer.Emit(obs.EvResolutions, sg.pred.Indicator, 1)

@@ -109,30 +109,22 @@ func failf(format string, args ...any) {
 // predicate for the all-free call pattern (matching the declarative
 // analyzer's open calls).
 func Analyze(src string) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), src)
+	return AnalyzeWith(context.Background(), src, nil, nil)
 }
 
-// AnalyzeCtx is Analyze with cooperative cancellation: once ctx ends the
-// run fails with engine.ErrCanceled or engine.ErrDeadline.
-func AnalyzeCtx(ctx context.Context, src string) (*Analysis, error) {
-	return AnalyzeEntries(ctx, src, nil)
-}
-
-// AnalyzeEntries is AnalyzeCtx restricted to the call-graph cone of the
-// entry predicates ("p/n" indicators or bare names, via lint.Slice):
-// only predicates in the cone are loaded and analyzed. Because a
-// predicate's all-free fixpoint depends only on its callees — all inside
-// the cone — the cone results are identical to a full run's; predicates
-// outside it are simply absent from Results. Nil entries analyze the
-// whole program.
-func AnalyzeEntries(ctx context.Context, src string, entries []string) (*Analysis, error) {
-	return AnalyzeTimed(ctx, src, entries, nil)
-}
-
-// AnalyzeTimed is AnalyzeEntries with a phase timeline: when tl is
-// non-nil it records parse/load/solve/collect spans (the fixpoint
-// iteration is the solve phase; this analyzer has no transform step).
-func AnalyzeTimed(ctx context.Context, src string, entries []string, tl *obs.Timeline) (a *Analysis, err error) {
+// AnalyzeWith is Analyze with cooperative cancellation, an entry cone and
+// a phase timeline:
+//   - once ctx ends the run fails with engine.ErrCanceled or
+//     engine.ErrDeadline;
+//   - non-nil entries ("p/n" indicators or bare names, via lint.Slice)
+//     restrict loading and analysis to their call-graph cone. A
+//     predicate's all-free fixpoint depends only on its callees — all
+//     inside the cone — so the cone results are identical to a full
+//     run's; predicates outside it are absent from Results;
+//   - a non-nil tl records parse/load/solve/collect spans (the fixpoint
+//     iteration is the solve phase; this analyzer has no transform
+//     step).
+func AnalyzeWith(ctx context.Context, src string, entries []string, tl *obs.Timeline) (a *Analysis, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ge, ok := r.(gaiaError); ok {

@@ -2,7 +2,7 @@
 // Table 1 (Prop groundness on the tabled engine), Table 2 (declarative
 // vs special-purpose analyzer), Table 3 (strictness analysis), Table 4
 // (depth-k groundness), plus the quantitative claims of §4 and §7 as
-// ablation tables (dynamic vs compiled loading, enumerative vs BDD
+// ablation tables (dynamic vs closure-compiled loading, enumerative vs BDD
 // representation, supplementary tabling, tabled vs bottom-up demand
 // dataflow).
 package harness
@@ -118,12 +118,13 @@ func Table1() (*Table, error) {
 	return t, nil
 }
 
-// measureCompile times parsing + loading the program in compiled mode —
-// the baseline "compilation without analysis" of the paper's ratio.
+// measureCompile times parsing + loading the program in closure mode
+// (which compiles every predicate at load time) — the baseline
+// "compilation without analysis" of the paper's ratio.
 func measureCompile(src string) time.Duration {
 	t0 := time.Now()
 	m := engine.New()
-	m.Mode = engine.LoadCompiled
+	m.Mode = engine.ModeClosure
 	if err := m.Consult(src); err != nil {
 		return time.Since(t0)
 	}
@@ -211,35 +212,29 @@ func Table4(k int) (*Table, error) {
 }
 
 // Table5 is the §4 preprocessing ablation: dynamic loading (assert +
-// interpret) versus full compilation (normalization + first-argument
-// indexing) versus closure compilation (clauses specialized to Go
+// interpret) versus closure compilation (clauses specialized to Go
 // closures) for the groundness analyzer. Closure-mode preprocessing
 // includes clause-compilation time — the paper's tradeoff is exactly
 // that compilation is paid once in preprocessing to make the analysis
 // (solve) phase cheaper.
 func Table5() (*Table, error) {
 	t := &Table{
-		Title: "Table 5 (§4 claim): dynamic loading vs compilation vs closure compilation, groundness analysis",
+		Title: "Table 5 (§4 claim): dynamic loading vs closure compilation, groundness analysis",
 		Columns: []string{"Program", "Dyn preproc(ms)", "Dyn total(ms)",
-			"Cmp preproc(ms)", "Cmp total(ms)",
 			"Clo preproc(ms)", "Clo compile(ms)", "Clo total(ms)"},
 	}
 	for _, p := range corpus.LogicPrograms() {
-		d, err := prop.Analyze(p.Source, prop.Options{Mode: engine.LoadDynamic})
+		d, err := prop.Analyze(p.Source, prop.Options{})
 		if err != nil {
 			return nil, err
 		}
-		c, err := prop.Analyze(p.Source, prop.Options{Mode: engine.LoadCompiled})
-		if err != nil {
-			return nil, err
-		}
-		cl, err := prop.Analyze(p.Source, prop.Options{Mode: engine.ModeClosure})
+		cl, err := prop.Analyze(p.Source, prop.Options{Engine: engine.Config{Mode: engine.ModeClosure}})
 		if err != nil {
 			return nil, err
 		}
 		compileMs := ms(time.Duration(cl.EngineStats.CompileNanos))
 		t.Rows = append(t.Rows, []string{
-			p.Name, ms(d.PreprocTime), ms(d.Total()), ms(c.PreprocTime), ms(c.Total()),
+			p.Name, ms(d.PreprocTime), ms(d.Total()),
 			ms(cl.PreprocTime), compileMs, ms(cl.Total()),
 		})
 	}
@@ -377,11 +372,11 @@ func Table9() (*Table, error) {
 		return nil
 	}
 	for _, p := range corpus.LogicPrograms() {
-		sm, err := prop.Analyze(p.Source, prop.Options{Tables: engine.TablesStringMap})
+		sm, err := prop.Analyze(p.Source, prop.Options{Engine: engine.Config{Tables: engine.TablesStringMap}})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.Name, err)
 		}
-		tr, err := prop.Analyze(p.Source, prop.Options{Tables: engine.TablesTrie})
+		tr, err := prop.Analyze(p.Source, prop.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.Name, err)
 		}
@@ -390,11 +385,11 @@ func Table9() (*Table, error) {
 		}
 	}
 	for _, p := range corpus.FuncPrograms() {
-		sm, err := strict.Analyze(p.Source, strict.Options{Tables: engine.TablesStringMap})
+		sm, err := strict.Analyze(p.Source, strict.Options{Engine: engine.Config{Tables: engine.TablesStringMap}})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.Name, err)
 		}
-		tr, err := strict.Analyze(p.Source, strict.Options{Tables: engine.TablesTrie})
+		tr, err := strict.Analyze(p.Source, strict.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.Name, err)
 		}

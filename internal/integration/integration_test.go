@@ -231,18 +231,18 @@ func TestSupplementaryTablingAgreement(t *testing.T) {
 	}
 }
 
-// TestLoadModesAgreeOnCorpus: dynamic and compiled loading give the same
-// groundness results everywhere.
+// TestLoadModesAgreeOnCorpus: dynamic and closure-compiled loading give
+// the same groundness results everywhere.
 func TestLoadModesAgreeOnCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep")
 	}
 	for _, p := range corpus.LogicPrograms() {
-		d, err := prop.Analyze(p.Source, prop.Options{Mode: engine.LoadDynamic})
+		d, err := prop.Analyze(p.Source, prop.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := prop.Analyze(p.Source, prop.Options{Mode: engine.LoadCompiled})
+		c, err := prop.Analyze(p.Source, prop.Options{Engine: engine.Config{Mode: engine.ModeClosure}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,7 +220,7 @@ func TestGAIASliceAgreementOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unsliced: %v", err)
 			}
-			sliced, err := gaia.AnalyzeEntries(context.Background(), p.Source, []string{entry})
+			sliced, err := gaia.AnalyzeWith(context.Background(), p.Source, []string{entry}, nil)
 			if err != nil {
 				t.Fatalf("sliced: %v", err)
 			}

@@ -18,13 +18,13 @@ import (
 
 // Options configure an analysis run.
 type Options struct {
-	// Mode selects dynamic loading (the paper's recommended assert-based
-	// path) or full compilation with indexing (§4's comparison point).
-	Mode engine.LoadMode
-	// Tables selects the engine's table representation: trie-indexed
-	// (default) or the canonical-string maps kept for differential
-	// testing (engine.TablesStringMap).
-	Tables engine.TablesImpl
+	// Engine configures the engine: the clause backend (dynamic loading,
+	// the paper's recommended assert-based path, or closure compilation,
+	// §4's comparison point), the table representation and the resource
+	// limits. Engine.Limits.MaxParallel > 1 evaluates independent
+	// analysis goals on concurrent machine shards; results and engine
+	// stats are identical either way.
+	Engine engine.Config
 	// Entry lists source-level entry goals, e.g. "main(X)". When given,
 	// the analysis is goal-directed: only calls reachable from the
 	// entries are analyzed and the recorded calls yield input groundness.
@@ -40,13 +40,6 @@ type Options struct {
 	// PureIff evaluates iff/N through generated Prolog clauses instead
 	// of the native builtin (slower; used for validation).
 	PureIff bool
-	// Limits are passed to the engine.
-	Limits engine.Limits
-	// Parallel bounds intra-query concurrency during the solve phase
-	// (engine.Limits.MaxParallel): independent analysis goals evaluate
-	// on concurrent machine shards. 0 or 1 solves sequentially. Results
-	// and engine stats are identical either way.
-	Parallel int
 	// Ctx, when non-nil, cancels the analysis: the engine polls it
 	// during evaluation and the run fails with engine.ErrCanceled or
 	// engine.ErrDeadline once it is done.
@@ -258,10 +251,7 @@ func analyzeClauses(clauses []term.Term, clausePos map[term.Term]prolog.Pos, opt
 	}
 	tl.Start("load")
 	m := engine.New()
-	m.Mode = opts.Mode
-	m.Tables = opts.Tables
-	m.Limits = opts.Limits
-	m.Limits.MaxParallel = opts.Parallel
+	m.Config = opts.Engine
 	m.Provenance = opts.Provenance
 	m.SetContext(opts.Ctx)
 	m.SetTracer(opts.Tracer)
@@ -320,8 +310,9 @@ func analyzeClauses(clauses []term.Term, clausePos map[term.Term]prolog.Pos, opt
 		// producer-pass counts) does; a map-order walk here made those
 		// counters differ from run to run on the same input, which the
 		// tables_trie_vs_stringmap oracle compares exactly. SolveAll
-		// preserves this order (and its stats) even when opts.Parallel
-		// splits the goals across machine shards.
+		// preserves this order (and its stats) even when
+		// Engine.Limits.MaxParallel splits the goals across machine
+		// shards.
 		inds := make([]string, 0, len(tf.Preds))
 		for ind := range tf.Preds {
 			inds = append(inds, ind)

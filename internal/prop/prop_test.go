@@ -8,6 +8,7 @@ import (
 
 	"xlp/internal/boolfn"
 	"xlp/internal/engine"
+	"xlp/internal/obs"
 	"xlp/internal/prolog"
 	"xlp/internal/term"
 )
@@ -246,11 +247,11 @@ func TestPureIffMatchesNative(t *testing.T) {
 }
 
 func TestCompiledModeMatchesDynamic(t *testing.T) {
-	a1, err := Analyze(appendSrc, Options{Mode: engine.LoadDynamic})
+	a1, err := Analyze(appendSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Analyze(appendSrc, Options{Mode: engine.LoadCompiled})
+	a2, err := Analyze(appendSrc, Options{Engine: engine.Config{Mode: engine.ModeClosure}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,4 +398,30 @@ func TestOpenAndGoalDirectedSuccessAgree(t *testing.T) {
 	if !q.GroundArgs[0] || !q.GroundArgs[1] {
 		t.Errorf("qsort from ground entry: %v (%s)", q.GroundArgs, q.FormatSuccess())
 	}
+}
+
+// TestEngineMaxParallelReachesSolver: a caller's
+// Engine.Limits.MaxParallel must reach the machine, so independent open
+// calls are scheduled as parallel goal groups.
+func TestEngineMaxParallelReachesSolver(t *testing.T) {
+	tr := obs.NewTrace(0)
+	src := "p(a). p(b).\nq(X) :- X = c.\nr(X, Y) :- p(X), Y = d.\n"
+	_, err := Analyze(src, Options{Engine: engine.Config{Limits: engine.Limits{MaxParallel: 4}}, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallelGroups(tr) == 0 {
+		t.Fatal("no parallel_group event: Engine.Limits.MaxParallel did not reach the engine")
+	}
+}
+
+// parallelGroups counts the SolveAll goal groups a trace recorded.
+func parallelGroups(tr *obs.Trace) int {
+	n := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.EvParallelGroup {
+			n++
+		}
+	}
+	return n
 }

@@ -143,6 +143,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"parse error", "/v1/analyze/groundness", apiRequest{Source: "a :- ."}, http.StatusUnprocessableEntity},
 		{"query without goal", "/v1/query", apiRequest{Source: "a."}, http.StatusBadRequest},
 		{"unknown field", "/v1/query", map[string]any{"prog": "a."}, http.StatusBadRequest},
+		{"removed tables option", "/v1/analyze/groundness",
+			map[string]any{"source": "a.", "options": map[string]any{"tables": "stringmap"}}, http.StatusBadRequest},
+		{"removed compiled mode", "/v1/analyze/groundness",
+			map[string]any{"source": "a.", "options": map[string]any{"mode": "compiled"}}, http.StatusBadRequest},
 	} {
 		hr, body := post(t, srv.URL+tc.path, tc.body)
 		if hr.StatusCode != tc.status {

@@ -653,39 +653,33 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 	switch req.Kind {
 	case KindGroundness:
 		a, err := prop.Analyze(req.Source, prop.Options{
-			Mode:     o.engineMode(),
-			Tables:   o.engineTables(),
-			Entry:    o.Entry,
-			Slice:    o.Slice,
-			Limits:   o.engineLimits(),
-			Parallel: o.Parallel,
-			Ctx:      ctx,
-			Tracer:   tracer,
+			Entry:  o.Entry,
+			Slice:  o.Slice,
+			Engine: o.engineConfig(),
+			Ctx:    ctx,
+			Tracer: tracer,
 		})
 		if err != nil {
 			return nil, err
 		}
 		resp = FromGroundness(a)
 	case KindGAIA:
-		a, err := gaia.AnalyzeEntries(ctx, req.Source, o.Entry)
+		a, err := gaia.AnalyzeWith(ctx, req.Source, o.Entry, nil)
 		if err != nil {
 			return nil, err
 		}
 		resp = FromGAIA(a)
 	case KindBDD:
-		a, err := bddprop.AnalyzeCtx(ctx, req.Source)
+		a, err := bddprop.AnalyzeWith(ctx, req.Source, nil)
 		if err != nil {
 			return nil, err
 		}
 		resp = FromBDD(a)
 	case KindStrictness:
 		a, err := strict.Analyze(req.Source, strict.Options{
-			Mode:            o.engineMode(),
-			Tables:          o.engineTables(),
 			Entry:           o.Entry,
 			Slice:           o.Slice,
-			Limits:          o.engineLimits(),
-			Parallel:        o.Parallel,
+			Engine:          o.engineConfig(),
 			NoSupplementary: o.NoSupplementary,
 			Ctx:             ctx,
 			Tracer:          tracer,
@@ -697,12 +691,9 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 	case KindDepthK:
 		a, err := depthk.Analyze(req.Source, depthk.Options{
 			K:               o.K,
-			Mode:            o.engineMode(),
-			Tables:          o.engineTables(),
 			Entry:           o.Entry,
 			Slice:           o.Slice,
-			Limits:          o.engineLimits(),
-			Parallel:        o.Parallel,
+			Engine:          o.engineConfig(),
 			NoSupplementary: o.NoSupplementary,
 			Ctx:             ctx,
 			Tracer:          tracer,
@@ -740,10 +731,8 @@ func executeExplain(ctx context.Context, req *Request, tracer obs.EngineTracer) 
 	resp := &Response{Kind: KindExplain}
 	if o.Lang == "fl" {
 		a, err := strict.Analyze(req.Source, strict.Options{
-			Mode:       o.engineMode(),
-			Tables:     o.engineTables(),
 			Entry:      o.Entry,
-			Limits:     o.engineLimits(),
+			Engine:     o.engineConfig(),
 			Ctx:        ctx,
 			Tracer:     tracer,
 			Provenance: true,
@@ -758,10 +747,8 @@ func executeExplain(ctx context.Context, req *Request, tracer obs.EngineTracer) 
 		resp.Engine = engineReport(a.EngineStats)
 	} else {
 		a, err := prop.Analyze(req.Source, prop.Options{
-			Mode:       o.engineMode(),
-			Tables:     o.engineTables(),
 			Entry:      o.Entry,
-			Limits:     o.engineLimits(),
+			Engine:     o.engineConfig(),
 			Ctx:        ctx,
 			Tracer:     tracer,
 			Provenance: true,
@@ -826,9 +813,7 @@ func executeQuery(ctx context.Context, req *Request, tracer obs.EngineTracer) (*
 	o := req.Options
 	t0 := time.Now()
 	m := engine.New()
-	m.Mode = o.engineMode()
-	m.Tables = o.engineTables()
-	m.Limits = o.engineLimits()
+	m.Config = o.engineConfig()
 	m.SetContext(ctx)
 	m.SetTracer(tracer)
 	if err := m.Consult(req.Source); err != nil {

@@ -383,7 +383,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	diff := []*Request{
 		{Kind: KindGAIA, Source: "a(1)."},
 		{Kind: KindGroundness, Source: "a(2)."},
-		{Kind: KindGroundness, Source: "a(1).", Options: Options{Mode: "compiled"}},
+		{Kind: KindGroundness, Source: "a(1).", Options: Options{Mode: "closure"}},
 		{Kind: KindGroundness, Source: "a(1).", Options: Options{Entry: []string{"a(X)"}}},
 	}
 	for i, r := range diff {
@@ -451,10 +451,10 @@ func TestAnalyzerCtxVariants(t *testing.T) {
 	if _, err := depthk.Analyze(p.Source, depthk.Options{Ctx: ctx}); !errors.Is(err, engine.ErrDeadline) {
 		t.Errorf("depthk: want ErrDeadline, got %v", err)
 	}
-	if _, err := gaia.AnalyzeCtx(ctx, p.Source); !errors.Is(err, engine.ErrDeadline) {
+	if _, err := gaia.AnalyzeWith(ctx, p.Source, nil, nil); !errors.Is(err, engine.ErrDeadline) {
 		t.Errorf("gaia: want ErrDeadline, got %v", err)
 	}
-	if _, err := bddprop.AnalyzeCtx(ctx, p.Source); !errors.Is(err, engine.ErrDeadline) {
+	if _, err := bddprop.AnalyzeWith(ctx, p.Source, nil); !errors.Is(err, engine.ErrDeadline) {
 		t.Errorf("bddprop: want ErrDeadline, got %v", err)
 	}
 }

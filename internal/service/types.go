@@ -62,14 +62,10 @@ func (k Kind) Valid() bool {
 // irrelevant to a request's kind are ignored (and zeroed during
 // canonicalization so they cannot split the cache).
 type Options struct {
-	// Mode selects clause loading: "dynamic" (default), "compiled"
-	// (first-argument indexing), or "closure" (clauses compiled to Go
-	// closures; same answers, different cost profile).
+	// Mode selects clause loading: "dynamic" (default) or "closure"
+	// (clauses compiled to Go closures; same answers, different cost
+	// profile).
 	Mode string `json:"mode,omitempty"`
-	// Tables selects the engine's table representation: "trie" (default)
-	// or "stringmap" (the canonical-string baseline). Answer sets are
-	// identical either way; only table-space accounting differs.
-	Tables string `json:"tables,omitempty"`
 	// Entry lists entry goals or predicate indicators: goal-directed
 	// analysis entry points (groundness, depthk, strictness, gaia) and
 	// lint reachability roots.
@@ -140,14 +136,9 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("%w: query without goal", ErrBadRequest)
 	}
 	switch r.Options.Mode {
-	case "", "dynamic", "compiled", "closure":
+	case "", "dynamic", "closure":
 	default:
 		return fmt.Errorf("%w: unknown mode %q", ErrBadRequest, r.Options.Mode)
-	}
-	switch r.Options.Tables {
-	case "", "trie", "stringmap":
-	default:
-		return fmt.Errorf("%w: unknown tables impl %q", ErrBadRequest, r.Options.Tables)
 	}
 	switch r.Options.Lang {
 	case "", "prolog", "fl":
@@ -173,11 +164,6 @@ func (r *Request) canonicalOptions() Options {
 	o := r.Options
 	if o.Mode == "" {
 		o.Mode = "dynamic"
-	}
-	// Tables changes the response's table-space accounting (bytes and
-	// node counts), so the two impls must not share a cache entry.
-	if o.Tables == "" {
-		o.Tables = "trie"
 	}
 	switch r.Kind {
 	case KindGroundness:
@@ -252,34 +238,18 @@ func (r *Request) CacheKey() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// engineMode maps the wire mode to the engine's LoadMode.
-func (o Options) engineMode() engine.LoadMode {
-	switch o.Mode {
-	case "compiled":
-		return engine.LoadCompiled
-	case "closure":
-		return engine.ModeClosure
-	default:
-		return engine.LoadDynamic
-	}
-}
-
-// engineTables maps the wire tables impl to the engine's TablesImpl.
-func (o Options) engineTables() engine.TablesImpl {
-	if o.Tables == "stringmap" {
-		return engine.TablesStringMap
-	}
-	return engine.TablesTrie
-}
-
-// engineLimits maps the wire limits to engine.Limits.
-func (o Options) engineLimits() engine.Limits {
-	return engine.Limits{
+// engineConfig maps the wire engine options to the engine's Config.
+func (o Options) engineConfig() engine.Config {
+	c := engine.Config{Limits: engine.Limits{
 		MaxDepth:    o.MaxDepth,
 		MaxAnswers:  o.MaxAnswers,
 		MaxSubgoals: o.MaxSubgoals,
 		MaxParallel: o.Parallel,
+	}}
+	if o.Mode == "closure" {
+		c.Mode = engine.ModeClosure
 	}
+	return c
 }
 
 // Timings is the paper's phase breakdown in microseconds.

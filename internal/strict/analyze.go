@@ -72,16 +72,11 @@ func RegisterDemandOps(m *engine.Machine) {
 
 // Options configure a strictness-analysis run.
 type Options struct {
-	Mode engine.LoadMode
-	// Tables selects the engine's table representation: trie-indexed
-	// (default) or canonical-string maps (engine.TablesStringMap).
-	Tables engine.TablesImpl
-	Limits engine.Limits
-	// Parallel bounds intra-query concurrency during the solve phase
-	// (engine.Limits.MaxParallel): independent sp goals evaluate on
-	// concurrent machine shards. 0 or 1 solves sequentially. Results
-	// and engine stats are identical either way.
-	Parallel int
+	// Engine configures the engine: clause backend, table representation
+	// and resource limits. Engine.Limits.MaxParallel > 1 evaluates
+	// independent sp goals on concurrent machine shards; results and
+	// engine stats are identical either way.
+	Engine engine.Config
 	// Entry restricts the analysis to the given functions ("f/n", or
 	// bare "f" matching every arity): only their sp predicates are
 	// demanded, so evaluation explores exactly their call-graph cone.
@@ -258,10 +253,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	}
 	tl.Start("load")
 	m := engine.New()
-	m.Mode = opts.Mode
-	m.Tables = opts.Tables
-	m.Limits = opts.Limits
-	m.Limits.MaxParallel = opts.Parallel
+	m.Config = opts.Engine
 	m.Provenance = opts.Provenance
 	m.SetContext(opts.Ctx)
 	m.SetTracer(opts.Tracer)

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"xlp/internal/engine"
 	"xlp/internal/fl"
+	"xlp/internal/obs"
 )
 
 const apSrc = `
@@ -202,4 +204,30 @@ func TestThroughputMetric(t *testing.T) {
 	if a.TableBytes <= 0 {
 		t.Fatal("table space should be positive")
 	}
+}
+
+// TestEngineMaxParallelReachesSolver: a caller's
+// Engine.Limits.MaxParallel must reach the machine, so independent sp
+// goals are scheduled as parallel goal groups.
+func TestEngineMaxParallelReachesSolver(t *testing.T) {
+	tr := obs.NewTrace(0)
+	src := "id(X) = X.\nfst(X, Y) = X.\n"
+	_, err := Analyze(src, Options{Engine: engine.Config{Limits: engine.Limits{MaxParallel: 4}}, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallelGroups(tr) == 0 {
+		t.Fatal("no parallel_group event: Engine.Limits.MaxParallel did not reach the engine")
+	}
+}
+
+// parallelGroups counts the SolveAll goal groups a trace recorded.
+func parallelGroups(tr *obs.Trace) int {
+	n := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.EvParallelGroup {
+			n++
+		}
+	}
+	return n
 }

@@ -25,8 +25,8 @@ func TestCommandSmoke(t *testing.T) {
 		{"./cmd/xlp", "difftest", "-n", "3", "-seed", "1"},
 		{"./cmd/xlp", "lint", "internal/corpus/programs/qsort.pl"},
 		{"./cmd/xlp", "groundness", "internal/corpus/programs/qsort.pl"},
-		{"./cmd/groundness", "-bench", "qsort"},
-		{"./cmd/strictness", "-bench", "quicksort"},
+		{"./cmd/xlp", "groundness", "-bench", "qsort"},
+		{"./cmd/xlp", "strictness", "-bench", "quicksort"},
 		{"./cmd/experiments", "-table", "1"},
 	}
 	for _, d := range []string{"dataflow", "depthk", "groundness", "quickstart", "strictness"} {

@@ -6,7 +6,8 @@
 // The package exposes four things:
 //
 //   - a tabled logic-programming engine in the spirit of XSB (variant
-//     tabling, SLD resolution, dynamic and compiled loading): NewMachine;
+//     tabling, SLD resolution, dynamic and closure-compiled loading):
+//     NewMachine;
 //   - groundness analysis of logic programs over the Prop domain
 //     (the paper's §3.1): AnalyzeGroundness, plus the special-purpose
 //     and BDD-based comparators AnalyzeGroundnessGAIA and
@@ -49,7 +50,7 @@ import (
 type (
 	// Machine is the tabled logic-programming engine.
 	Machine = engine.Machine
-	// LoadMode selects dynamic (assert-style) or compiled (indexed)
+	// LoadMode selects dynamic (assert-style) or closure-compiled
 	// clause loading.
 	LoadMode = engine.LoadMode
 	// Limits bound engine resources.
@@ -60,8 +61,8 @@ type (
 
 // Load modes.
 const (
-	LoadDynamic  = engine.LoadDynamic
-	LoadCompiled = engine.LoadCompiled
+	LoadDynamic = engine.LoadDynamic
+	ModeClosure = engine.ModeClosure
 )
 
 // NewMachine returns an empty tabled engine. Consult Prolog text with
@@ -97,13 +98,6 @@ func AnalyzeGroundness(src string, opts GroundnessOptions) (*GroundnessAnalysis,
 	return prop.Analyze(src, opts)
 }
 
-// AnalyzeGroundnessCtx is AnalyzeGroundness under a context: once ctx
-// ends the run fails with ErrCanceled or ErrDeadline.
-func AnalyzeGroundnessCtx(ctx context.Context, src string, opts GroundnessOptions) (*GroundnessAnalysis, error) {
-	opts.Ctx = ctx
-	return prop.Analyze(src, opts)
-}
-
 // AnalyzeGroundnessGAIA runs the special-purpose abstract interpreter
 // (the paper's Table 2 comparator). Results are identical to
 // AnalyzeGroundness; only the implementation differs.
@@ -113,7 +107,7 @@ func AnalyzeGroundnessGAIA(src string) (*gaia.Analysis, error) {
 
 // AnalyzeGroundnessGAIACtx is AnalyzeGroundnessGAIA under a context.
 func AnalyzeGroundnessGAIACtx(ctx context.Context, src string) (*gaia.Analysis, error) {
-	return gaia.AnalyzeCtx(ctx, src)
+	return gaia.AnalyzeWith(ctx, src, nil, nil)
 }
 
 // AnalyzeGroundnessBDD runs the BDD-based bottom-up analyzer (the §4
@@ -124,7 +118,7 @@ func AnalyzeGroundnessBDD(src string) (*bddprop.Analysis, error) {
 
 // AnalyzeGroundnessBDDCtx is AnalyzeGroundnessBDD under a context.
 func AnalyzeGroundnessBDDCtx(ctx context.Context, src string) (*bddprop.Analysis, error) {
-	return bddprop.AnalyzeCtx(ctx, src)
+	return bddprop.AnalyzeWith(ctx, src, nil)
 }
 
 // Strictness analysis (demand propagation, §3.2).
@@ -152,13 +146,6 @@ func AnalyzeStrictness(src string, opts StrictnessOptions) (*StrictnessAnalysis,
 	return strict.Analyze(src, opts)
 }
 
-// AnalyzeStrictnessCtx is AnalyzeStrictness under a context: once ctx
-// ends the run fails with ErrCanceled or ErrDeadline.
-func AnalyzeStrictnessCtx(ctx context.Context, src string, opts StrictnessOptions) (*StrictnessAnalysis, error) {
-	opts.Ctx = ctx
-	return strict.Analyze(src, opts)
-}
-
 // Depth-k groundness analysis (§5).
 type (
 	// DepthKOptions configure AnalyzeDepthK.
@@ -169,13 +156,6 @@ type (
 
 // AnalyzeDepthK runs groundness analysis with term-depth abstraction.
 func AnalyzeDepthK(src string, opts DepthKOptions) (*DepthKAnalysis, error) {
-	return depthk.Analyze(src, opts)
-}
-
-// AnalyzeDepthKCtx is AnalyzeDepthK under a context: once ctx ends the
-// run fails with ErrCanceled or ErrDeadline.
-func AnalyzeDepthKCtx(ctx context.Context, src string, opts DepthKOptions) (*DepthKAnalysis, error) {
-	opts.Ctx = ctx
 	return depthk.Analyze(src, opts)
 }
 
