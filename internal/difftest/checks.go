@@ -68,6 +68,7 @@ func Checks() []Check {
 		{Name: "prop-goalreorder", Lang: randgen.LangProlog, Run: propGoalReorder},
 		{Name: "depthk-clausereorder", Lang: randgen.LangProlog, Run: depthkClauseReorder},
 		{Name: "depthk-alpha", Lang: randgen.LangProlog, Run: depthkAlpha},
+		{Name: "depthk-supp", Lang: randgen.LangProlog, Run: depthkSupp},
 		{Name: "engine-bottomup", Lang: randgen.LangProlog, DatalogOnly: true, Run: engineVsBottomup},
 		{Name: "naive-seminaive", Lang: randgen.LangProlog, DatalogOnly: true, Run: naiveVsSemiNaive},
 		{Name: "strict-supp", Lang: randgen.LangFL, Run: strictSupp},
@@ -331,6 +332,19 @@ func depthkAlpha(m Meta, src string) error {
 		return fmt.Errorf("error: depthk alpha: %w", err)
 	}
 	return diffSummaries("base", "alpha", depthkSummary(base, nil), depthkSummary(ren, nil), false)
+}
+
+// depthkSupp: supplementary tabling must not change depth-k answers.
+func depthkSupp(m Meta, src string) error {
+	base, err := depthk.Analyze(src, depthk.Options{K: depthkK})
+	if err != nil {
+		return fmt.Errorf("error: depthk: %w", err)
+	}
+	nosupp, err := depthk.Analyze(src, depthk.Options{K: depthkK, NoSupplementary: true})
+	if err != nil {
+		return fmt.Errorf("error: depthk nosupp: %w", err)
+	}
+	return diffSummaries("supp", "nosupp", depthkSummary(base, nil), depthkSummary(nosupp, nil), false)
 }
 
 // engineAnswers enumerates all answers to an open call of each predicate

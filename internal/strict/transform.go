@@ -112,7 +112,9 @@ func Transform(p *fl.Program) (*Transformed, error) {
 	// variables as n (no demand). A pure-clause lub would have to
 	// enumerate values for an unbound input, which both explodes the
 	// search (5^k backtracking over lub chains) and over-claims demands
-	// for occurrences on untaken conditional branches.
+	// for occurrences on untaken conditional branches. Being builtins,
+	// they never open a supplementary table (internal/supptab splits
+	// only at calls into the program).
 	tr.addSrc(`
 		demand(n). demand(d). demand(e).
 	`)
@@ -239,22 +241,39 @@ func (tr *Transformed) equation(p *fl.Program, f *fl.Func, eq *fl.Equation) (ter
 	if err != nil {
 		return nil, err
 	}
-	// Combine multiple demands on the same variable with lub chains.
-	var lubLits []term.Term
+	// Combine multiple demands on the same variable with lub chains, each
+	// lub emitted right after the last rhs literal that mentions one of
+	// its operands (the head demand is bound at clause entry). Nothing
+	// later binds an operand, so every lub reads what it would read after
+	// the whole rhs, but the occurrence demands die at their producers:
+	// supplementary tables (internal/supptab) past that point no longer
+	// carry them.
+	ready := map[*term.Var]int{}
+	for i, l := range rhsLits {
+		for _, v := range term.Vars(l) {
+			ready[v] = i + 1
+		}
+	}
+	ready[dOut] = 0
+	readyAt := func(d term.Term) int { return ready[d.(*term.Var)] }
+	// after[i] holds the lubs emitted right after rhsLits[i-1]; after[0]
+	// those at clause entry.
+	after := make([][]term.Term, len(rhsLits)+1)
 	finalDemand := map[*term.Var]term.Term{}
 	for _, v := range orderedVars(ctx.demands) {
 		ds := ctx.demands[v]
 		// Chain occurrences through the native lub; a final lub with n
 		// normalizes a possibly-unbound occurrence demand (an occurrence
 		// on an untaken conditional branch) to a ground n.
-		cur := ds[0]
-		for i := 1; i < len(ds); i++ {
+		cur, at := ds[0], readyAt(ds[0])
+		for _, d := range ds[1:] {
 			next := term.NewVar("L")
-			lubLits = append(lubLits, term.Comp("lub", cur, ds[i], next))
+			at = max(at, readyAt(d))
+			after[at] = append(after[at], term.Comp("lub", cur, d, next))
 			cur = next
 		}
 		final := term.NewVar("T")
-		lubLits = append(lubLits, term.Comp("lub", cur, DemandN, final))
+		after[at] = append(after[at], term.Comp("lub", cur, DemandN, final))
 		finalDemand[v] = final
 	}
 	ctx.final = finalDemand
@@ -268,7 +287,11 @@ func (tr *Transformed) equation(p *fl.Program, f *fl.Func, eq *fl.Equation) (ter
 		patLits = append(patLits, lits...)
 	}
 
-	lits := append(append(rhsLits, lubLits...), patLits...)
+	lits := after[0]
+	for i, l := range rhsLits {
+		lits = append(append(lits, l), after[i+1]...)
+	}
+	lits = append(lits, patLits...)
 	head := term.NewCompound(spName(f.Name, f.Arity), headArgs...)
 	if len(lits) == 0 {
 		return head, nil

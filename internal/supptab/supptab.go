@@ -8,21 +8,30 @@
 //
 // The transformation folds a long clause body into a chain of tabled
 // auxiliary predicates, each carrying only the variables shared between
-// the prefix evaluated so far and the rest of the clause:
+// the prefix evaluated so far and the rest of the clause. The body is
+// cut into segments S1..Sk at calls into the program (literals whose
+// predicate has a clause in the input); every other literal — a builtin
+// such as lub/3 or aunify/2, a control construct such as ;/2, a call to
+// an undefined predicate — stays in the segment before it, and leading
+// ones join the first segment:
 //
-//	h(H) :- L1, L2, ..., Ln.
+//	h(H) :- S1, S2, ..., Sk.
 //
 // becomes
 //
-//	sup1(V1) :- L1.
-//	sup2(V2) :- sup1(V1), L2.
+//	sup1(V1) :- S1.
+//	sup2(V2) :- sup1(V1), S2.
 //	...
-//	h(H)     :- sup{n-1}(V{n-1}), Ln.
+//	h(H)     :- sup{k-1}(V{k-1}), Sk.
 //
-// where Vi = Vars(L1..Li) ∩ (Vars(L{i+1}..Ln) ∪ Vars(H)). Because each
+// where Vi = Vars(S1..Si) ∩ (Vars(S{i+1}..Sk) ∪ Vars(H)). Because each
 // supi is tabled, re-derivations of the same intermediate tuple are
 // shared instead of re-enumerated, collapsing the cross-product
 // backtracking of independent subgoals — at the cost of extra tables.
+// Splitting only at program calls keeps that cost where it pays: a
+// table after a builtin step would hold exactly the answers of the table
+// before it, extended by the builtin's output column. A body that forms a
+// single segment is left unchanged.
 package supptab
 
 import (
@@ -43,9 +52,18 @@ type Result struct {
 }
 
 // Transform applies supplementary tabling to every clause whose body has
-// at least minLits literals (a reasonable default is 3). Clauses are
-// given and returned in ':-'(Head, Body) / fact form.
+// at least minLits literals (a reasonable default is 3) and more than
+// one segment. Clauses are given and returned in ':-'(Head, Body) / fact
+// form.
 func Transform(clauses []term.Term, minLits int) *Result {
+	defined := map[string]bool{}
+	for _, c := range clauses {
+		if head, _ := prolog.SplitClause(c); head != nil {
+			if ind, ok := term.Indicator(head); ok {
+				defined[ind] = true
+			}
+		}
+	}
 	res := &Result{}
 	gensym := 0
 	for _, c := range clauses {
@@ -59,8 +77,13 @@ func Transform(clauses []term.Term, minLits int) *Result {
 			res.Clauses = append(res.Clauses, c)
 			continue
 		}
+		segs := segments(lits, defined)
+		if len(segs) == 1 {
+			res.Clauses = append(res.Clauses, c)
+			continue
+		}
 		res.Split++
-		res.addChain(head, lits, &gensym)
+		res.addChain(head, segs, &gensym)
 	}
 	return res
 }
@@ -69,22 +92,39 @@ func isTrueBody(lits []term.Term) bool {
 	return len(lits) == 1 && term.Equal(lits[0], term.Atom("true"))
 }
 
-func (res *Result) addChain(head term.Term, lits []term.Term, gensym *int) {
-	n := len(lits)
-	// suffixVars[i] = variables of lits[i..n-1].
+// segments cuts a body before each program call that follows another
+// program call.
+func segments(lits []term.Term, defined map[string]bool) [][]term.Term {
+	var segs [][]term.Term
+	var cur []term.Term
+	hasCall := false
+	for _, l := range lits {
+		ind, _ := term.Indicator(l)
+		call := defined[ind]
+		if call && hasCall {
+			segs = append(segs, cur)
+			cur = nil
+		}
+		cur = append(cur, l)
+		hasCall = hasCall || call
+	}
+	return append(segs, cur)
+}
+
+func (res *Result) addChain(head term.Term, segs [][]term.Term, gensym *int) {
+	n := len(segs)
+	// suffixVars[i] = variables of segs[i..n-1].
 	suffixVars := make([]map[*term.Var]bool, n+1)
 	suffixVars[n] = varSet(nil)
 	for i := n - 1; i >= 0; i-- {
-		suffixVars[i] = varSet(suffixVars[i+1], lits[i])
+		suffixVars[i] = varSet(suffixVars[i+1], segs[i]...)
 	}
 	headVars := varSet(nil, head)
 
 	prefixVars := map[*term.Var]bool{}
 	var prev term.Term // previous supplementary literal (nil for none)
 	for i := 0; i < n-1; i++ {
-		for v := range varsOf(lits[i]) {
-			prefixVars[v] = true
-		}
+		prefixVars = varSet(prefixVars, segs[i]...)
 		// Shared variables that must flow past this point.
 		var shared []*term.Var
 		for v := range prefixVars {
@@ -95,36 +135,24 @@ func (res *Result) addChain(head term.Term, lits []term.Term, gensym *int) {
 		term.SortVars(shared)
 		*gensym++
 		supHead := term.NewCompound(fmt.Sprintf("sup__%d", *gensym), varTerms(shared)...)
-		bodyLits := []term.Term{lits[i]}
-		if prev != nil {
-			bodyLits = []term.Term{prev, lits[i]}
-		}
-		res.Clauses = append(res.Clauses, clauseOf(supHead, bodyLits))
+		res.Clauses = append(res.Clauses, clauseOf(supHead, prev, segs[i]))
 		ind, _ := term.Indicator(supHead)
 		res.Tabled = append(res.Tabled, ind)
 		prev = supHead
 	}
-	last := []term.Term{lits[n-1]}
-	if prev != nil {
-		last = []term.Term{prev, lits[n-1]}
-	}
-	res.Clauses = append(res.Clauses, clauseOf(head, last))
+	res.Clauses = append(res.Clauses, clauseOf(head, prev, segs[n-1]))
 }
 
-func clauseOf(head term.Term, lits []term.Term) term.Term {
+// clauseOf builds head :- prev, lits (prev omitted when nil).
+func clauseOf(head, prev term.Term, lits []term.Term) term.Term {
+	if prev != nil {
+		lits = append([]term.Term{prev}, lits...)
+	}
 	body := lits[len(lits)-1]
 	for i := len(lits) - 2; i >= 0; i-- {
 		body = term.Comp(",", lits[i], body)
 	}
 	return term.Comp(":-", head, body)
-}
-
-func varsOf(t term.Term) map[*term.Var]bool {
-	out := map[*term.Var]bool{}
-	for _, v := range term.Vars(t) {
-		out[v] = true
-	}
-	return out
 }
 
 func varSet(base map[*term.Var]bool, ts ...term.Term) map[*term.Var]bool {

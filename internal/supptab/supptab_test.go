@@ -30,6 +30,7 @@ func TestShortBodiesUntouched(t *testing.T) {
 func TestLongBodySplit(t *testing.T) {
 	clauses, err := prolog.ParseProgram(`
 		p(X, Y) :- a(X, T1), b(T1, T2), c(T2, T3), d(T3, Y).
+		a(1, 2). b(2, 3). c(3, 4). d(4, 5).
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,8 @@ func TestLongBodySplit(t *testing.T) {
 	if len(res.Tabled) != 3 {
 		t.Fatalf("Tabled = %v", res.Tabled)
 	}
-	if len(res.Clauses) != 4 {
+	// The chain's 4 clauses, then the 4 facts.
+	if len(res.Clauses) != 4+4 {
 		t.Fatalf("clauses = %d", len(res.Clauses))
 	}
 	// The chain must thread only shared variables: sup after a(X,T1)
@@ -130,6 +132,7 @@ func TestSharedVariableThreading(t *testing.T) {
 	// literals; a variable local to one literal must not be carried.
 	clauses, err := prolog.ParseProgram(`
 		h(X) :- a(X, L1), b(L1, Local, T2), c(T2, _), d(X).
+		a(1, 2). b(2, 3, 4). c(4, 5). d(1).
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +153,55 @@ func TestSharedVariableThreading(t *testing.T) {
 	_, args, _ := term.FunctorArity(head)
 	if len(args) != 2 {
 		t.Fatalf("sup head after b should carry 2 vars (X, T2): %s", afterB)
+	}
+}
+
+// Builtins, control constructs and calls to undefined predicates open
+// no table: they stay in the segment of the program call before them.
+func TestNonProgramLiteralsOpenNoTable(t *testing.T) {
+	clauses, err := prolog.ParseProgram(`
+		p(X, Y) :- a(X, A), lub(A, n, B), B = C, (a(C, D) ; D = C), undef(D), b(D, Y).
+		a(1, 2). b(2, 3).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Transform(clauses, 3)
+	if res.Split != 1 || len(res.Tabled) != 1 {
+		t.Fatalf("want one split with one sup table, got %+v", res)
+	}
+	sup := res.Clauses[0].String()
+	for _, lit := range []string{"a(", "lub(", "=(", ";(", "undef("} {
+		if !strings.Contains(sup, lit) {
+			t.Errorf("sup clause lacks %s: %s", lit, sup)
+		}
+	}
+	if last := res.Clauses[1].String(); strings.Contains(last, "lub(") || !strings.Contains(last, "b(") {
+		t.Errorf("final clause = %s", last)
+	}
+}
+
+// A long body with at most one program call is a single segment: the
+// clause is returned as is and not counted as split.
+func TestSingleSegmentUnchanged(t *testing.T) {
+	clauses, err := prolog.ParseProgram(`
+		p(X, Y) :- lub(X, n, A), a(A, B), lub(B, d, C), C = Y, undef(Y).
+		a(1, 2).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Transform(clauses, 3)
+	if res.Split != 0 || len(res.Tabled) != 0 {
+		t.Fatalf("single-segment body split: %+v", res)
+	}
+	if len(res.Clauses) != len(clauses) {
+		t.Fatalf("clause count %d, want %d", len(res.Clauses), len(clauses))
+	}
+	for i := range clauses {
+		if res.Clauses[i] != clauses[i] {
+			t.Errorf("clause %d rewritten: %s", i, res.Clauses[i])
+		}
 	}
 }
 
