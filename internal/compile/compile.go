@@ -69,6 +69,7 @@ const (
 
 type step struct {
 	kind uint8
+	body int       // index of the source body literal (Source.Body)
 	skel term.Term // stepCall: goal skeleton with term.Ref slots
 }
 
@@ -129,21 +130,21 @@ func compileClause(src Source, arity int) *Clause {
 	if c, ok := headSkel.(*term.Compound); ok {
 		cl.headSkel = c.Args
 	}
-	for _, g := range src.Body {
+	for i, g := range src.Body {
 		d := term.Deref(g)
 		if a, ok := d.(term.Atom); ok {
 			switch a {
 			case "true":
 				continue
 			case "!":
-				cl.steps = append(cl.steps, step{kind: stepCut})
+				cl.steps = append(cl.steps, step{kind: stepCut, body: i})
 				continue
 			case "fail", "false":
-				cl.steps = append(cl.steps, step{kind: stepFail})
+				cl.steps = append(cl.steps, step{kind: stepFail, body: i})
 				continue
 			}
 		}
-		cl.steps = append(cl.steps, step{kind: stepCall, skel: term.CompileSkeleton(g, idx)})
+		cl.steps = append(cl.steps, step{kind: stepCall, body: i, skel: term.CompileSkeleton(g, idx)})
 	}
 	cl.nvars = len(idx)
 

@@ -64,12 +64,45 @@ func (e *Env) putFrame(f []term.Term) {
 // trail.Undo, exactly like a failed term.Unify in the interpreter.
 func (cl *Clause) Run(e *Env, args []term.Term, cut *bool, k func() bool) bool {
 	fr := e.getFrame(cl.nvars)
-	stop := cl.activate(e, fr, args, cut, k)
+	stop := cl.activate(e, fr, args, cut, NoMark, nil, k)
 	e.putFrame(fr)
 	return stop
 }
 
-func (cl *Clause) activate(e *Env, fr []term.Term, args []term.Term, cut *bool, k func() bool) bool {
+// Mark names one literal of a clause body: Body indexes Source.Body
+// (-1 names none) and Path holds the argument indices that lead from
+// that body literal down into nested control constructs (',' and ';')
+// to the literal meant.
+type Mark struct {
+	Body int
+	Path []uint8
+}
+
+// NoMark names no literal.
+var NoMark = Mark{Body: -1}
+
+// Literal descends from g, an instantiated copy of the body literal
+// mk.Body, along mk.Path.
+func (mk Mark) Literal(g term.Term) term.Term {
+	for _, i := range mk.Path {
+		g = term.Deref(g).(*term.Compound).Args[i]
+	}
+	return term.Deref(g)
+}
+
+// RunPass is Run for one clause activation of a tabled producer pass
+// (no cut barrier: a cut there is an error). Once the activation has
+// instantiated the body literal named by mk, RunPass stores that
+// literal's instance in *lit before the body runs, so the engine can
+// recognize the call by identity (its semi-naive pruning point).
+func (cl *Clause) RunPass(e *Env, args []term.Term, mk Mark, lit *term.Term, k func() bool) bool {
+	fr := e.getFrame(cl.nvars)
+	stop := cl.activate(e, fr, args, nil, mk, lit, k)
+	e.putFrame(fr)
+	return stop
+}
+
+func (cl *Clause) activate(e *Env, fr []term.Term, args []term.Term, cut *bool, mk Mark, lit *term.Term, k func() bool) bool {
 	for i, match := range cl.head {
 		if !match(e, fr, args[i]) {
 			return false
@@ -78,7 +111,7 @@ func (cl *Clause) activate(e *Env, fr []term.Term, args []term.Term, cut *bool, 
 	if len(cl.steps) == 0 {
 		return k()
 	}
-	return cl.bodyChain(e, fr, cut, k)()
+	return cl.bodyChain(e, fr, cut, mk, lit, k)()
 }
 
 // bodyChain builds the clause body's continuation chain for one
@@ -95,7 +128,7 @@ func (cl *Clause) activate(e *Env, fr []term.Term, args []term.Term, cut *bool, 
 // the interpreter's rename-once-per-attempt cost; instantiating per
 // step per re-entry instead costs O(solutions) allocations per goal and
 // loses the compiled backend's constant factor on conjunctive bodies.
-func (cl *Clause) bodyChain(e *Env, fr []term.Term, cut *bool, k func() bool) func() bool {
+func (cl *Clause) bodyChain(e *Env, fr []term.Term, cut *bool, mk Mark, lit *term.Term, k func() bool) func() bool {
 	next := k
 	for i := len(cl.steps) - 1; i >= 0; i-- {
 		st := &cl.steps[i]
@@ -116,6 +149,9 @@ func (cl *Clause) bodyChain(e *Env, fr []term.Term, cut *bool, k func() bool) fu
 			next = contFail
 		default: // stepCall
 			goal := instantiate(st.skel, fr)
+			if st.body == mk.Body {
+				*lit = mk.Literal(goal)
+			}
 			nk := next
 			next = func() bool { return e.Call(goal, cut, nk) }
 		}

@@ -489,6 +489,13 @@ func (a *Analysis) Total() time.Duration {
 
 // Analyze runs depth-k groundness analysis on a Prolog source program.
 func Analyze(src string, opts Options) (*Analysis, error) {
+	a, _, err := analyze(src, opts)
+	return a, err
+}
+
+// analyze is Analyze that also returns the evaluated machine, tables
+// alive, for tests that inspect the evaluation itself.
+func analyze(src string, opts Options) (*Analysis, *engine.Machine, error) {
 	if opts.K <= 0 {
 		opts.K = 2
 	}
@@ -501,7 +508,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	tl.Start("parse")
 	clauses, err := prolog.ParseProgram(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tl.Start("transform")
 	full := clauses
@@ -510,7 +517,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	}
 	tf, err := Transform(clauses)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tl.Start("load")
 	m := engine.New()
@@ -574,7 +581,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 		extraTabled = st.Tabled
 	}
 	if err := m.ConsultTerms(absClauses); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, abs := range tf.Preds {
 		m.Table(abs)
@@ -612,7 +619,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 		if errors.As(err, &ge) {
 			ind = goalInds[ge.Index]
 		}
-		return nil, fmt.Errorf("depthk: analyzing %s: %w", ind, err)
+		return nil, nil, fmt.Errorf("depthk: analyzing %s: %w", ind, err)
 	}
 	a.AnalysisTime = time.Since(t1)
 
@@ -634,7 +641,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	a.TableNodes = m.TableNodes()
 	a.EngineStats = m.Stats()
 	a.CollectionTime = time.Since(t2)
-	return a, nil
+	return a, m, nil
 }
 
 // entryMatch reports whether ind is selected by the entry list: empty

@@ -16,8 +16,16 @@ func (m *Machine) BuiltinTrail() *term.Trail { return &m.trail }
 // Register installs (or replaces) a builtin under the given indicator.
 // Analysis packages use this to add native abstract-domain operations
 // (iff/N for Prop, abstract unification for depth-k).
+//
+// A registered builtin must be pure: it may bind its arguments and call
+// k, but it must not call goals (through the machine or otherwise) and
+// must have no effect beyond its bindings. Its solutions must be a
+// function of its arguments. The semi-naive re-pass optimization
+// (seminaive.go) relies on this when it skips derivations a previous
+// producer pass already made.
 func (m *Machine) Register(indicator string, b Builtin) {
 	m.builtins[parsePkey(indicator)] = b
+	m.programChanged()
 }
 
 // unifyK unifies a and b and calls k on success; the trail is restored
@@ -311,6 +319,7 @@ func biRetract(m *Machine, args []term.Term, k func() bool) bool {
 				c.Nth = j
 			}
 			p.closure = nil // invalidate cached closure code
+			m.programChanged()
 			stop := k()
 			m.trail.Undo(mark)
 			return stop
@@ -360,6 +369,7 @@ func (m *Machine) assertFront(clause term.Term) error {
 		c.Nth = i
 	}
 	p.closure = nil // invalidate cached closure code
+	m.programChanged()
 	return nil
 }
 

@@ -140,7 +140,8 @@ func (m *Machine) producePassClosure(sg *subgoal) {
 		// back to the same engine clause the interpreted pass would
 		// record — the two backends produce identical justifications.
 		src := sg.pred.Clauses[cl.Nth]
-		cl.Run(env, args, nil, func() bool {
+		m.snGoal = nil
+		cl.RunPass(env, args, src.sn, &m.snGoal, func() bool {
 			m.addAnswer(sg, sg.goal, src)
 			return false
 		})

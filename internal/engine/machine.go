@@ -9,8 +9,10 @@
 // finite-domain analyses of the paper). Where XSB suspends and resumes
 // consumers (CHAT), this engine re-runs producers to a fixpoint governed
 // by an SCC discipline (see table.go); the result is the same call and
-// answer tables, possibly with more recomputation. Iteration counts are
-// exposed in Stats so the cost of that substitution is visible.
+// answer tables, possibly with more recomputation. Re-passes are
+// semi-naive (seminaive.go): they skip the answer combinations an
+// earlier pass derived. Iteration counts are exposed in Stats so the
+// cost of that substitution is visible.
 //
 // The Machine is not safe for concurrent use. Intra-query parallelism
 // goes through SolveAll (parallel.go), which forks shard machines over
@@ -145,6 +147,10 @@ type Clause struct {
 	skelHead term.Term
 	skelBody []term.Term
 	nvars    int
+
+	// sn names the clause's semi-naive pruning point (seminaive.go),
+	// valid while Machine.snFresh holds.
+	sn compile.Mark
 }
 
 // compile builds the renaming skeleton; called once when the clause is
@@ -170,6 +176,12 @@ type Pred struct {
 	// ResetTables so repeated analyses on a warm machine reuse compiled
 	// code.
 	closure *compile.Pred
+
+	// snReads and snImpure summarize a non-tabled predicate for the
+	// semi-naive marking (seminaive.go): whether a call may read a
+	// table, and whether it reaches anything outside the prunable
+	// fragment.
+	snReads, snImpure bool
 }
 
 // Builtin is the implementation of a built-in predicate. It must call k
@@ -289,6 +301,17 @@ type Machine struct {
 	// solve loop (see SetContext); steps is the poll countdown counter.
 	ctx   context.Context
 	steps int
+
+	// Semi-naive re-pass state (seminaive.go). progGen counts program
+	// changes; snFresh says the clause pruning marks match the current
+	// program. snGoal is the pruning literal of the clause activation
+	// the running producer pass is in (nil outside one), snNew the
+	// number of new answers read along the current derivation path of
+	// that producer.
+	progGen int
+	snFresh bool
+	snGoal  term.Term
+	snNew   int
 }
 
 // New returns an empty machine in dynamic load mode.
@@ -324,6 +347,8 @@ func (m *Machine) ResetTables() {
 	m.parStats = ParStats{}
 	m.premises = nil
 	m.provNodes = 0
+	m.snGoal = nil
+	m.snNew = 0
 }
 
 // pkey is the allocation-free predicate table key.
@@ -373,6 +398,7 @@ func (m *Machine) Table(indicators ...string) {
 	for _, ind := range indicators {
 		m.Pred(ind).Tabled = true
 	}
+	m.programChanged()
 }
 
 // TableAll marks every currently-defined predicate as tabled.
@@ -380,6 +406,7 @@ func (m *Machine) TableAll() {
 	for _, p := range m.preds {
 		p.Tabled = true
 	}
+	m.programChanged()
 }
 
 // Predicates returns the sorted indicators of all defined predicates.
@@ -420,6 +447,7 @@ func (m *Machine) assertAt(clause term.Term, pos prolog.Pos) error {
 	cl.compile()
 	p.Clauses = append(p.Clauses, cl)
 	p.closure = nil // invalidate cached closure code
+	m.programChanged()
 	return nil
 }
 
@@ -520,9 +548,12 @@ func (m *Machine) Solve(goal term.Term, yield func() bool) (err error) {
 	mark := m.trail.Mark()
 	defer func() {
 		m.trail.Undo(mark)
-		// A limit throw unwinds past the premise pushes in solveTabled;
-		// rebalance so a later Solve starts from a clean stack.
+		// A limit throw unwinds past the premise pushes in solveTabled
+		// and the semi-naive path count; rebalance so a later Solve
+		// starts from a clean state.
 		m.premises = m.premises[:0]
+		m.snGoal = nil
+		m.snNew = 0
 		if r := recover(); r != nil {
 			if ee, ok := r.(engineError); ok {
 				err = ee.err

@@ -198,6 +198,8 @@ func (m *Machine) solveAllParallel(goals []term.Term, groups [][]int, par int) e
 		// covers predicates declared after loading (tabled-undefined).
 		m.compileAll()
 	}
+	// Likewise the semi-naive clause marks, which shards read.
+	m.ensureMarks()
 	var shardTracer obs.EngineTracer
 	if m.tracer != nil {
 		shardTracer = &lockedTracer{t: m.tracer}
@@ -270,6 +272,8 @@ func (m *Machine) fork() *Machine {
 		preds:             m.preds,
 		builtins:          m.builtins,
 		ctx:               m.ctx,
+		progGen:           m.progGen,
+		snFresh:           m.snFresh,
 	}
 }
 
@@ -396,21 +400,6 @@ func newDepScan(m *Machine) *depScan {
 	return &depScan{m: m, memo: map[pkey]*predScan{}}
 }
 
-// parUnsafeBuiltins are builtins whose effects escape the shard: clause
-// store mutation and stream output. Reaching one forces sequential
-// evaluation.
-var parUnsafeBuiltins = map[pkey]bool{
-	{"assert", 1}:  true,
-	{"asserta", 1}: true,
-	{"assertz", 1}: true,
-	{"retract", 1}: true,
-	{"write", 1}:   true,
-	{"print", 1}:   true,
-	{"writeln", 1}: true,
-	{"nl", 0}:      true,
-	{"tab", 1}:     true,
-}
-
 // goalCone returns the set of tabled predicates statically reachable
 // from goal, walking through control constructs and non-tabled
 // predicate bodies. safe is false when the walk meets an unbound goal,
@@ -431,7 +420,7 @@ func (s *depScan) goalCone(goal term.Term) (cone map[pkey]struct{}, safe bool) {
 			continue
 		}
 		visited[pk] = true
-		if parUnsafeBuiltins[pk] {
+		if effectBuiltins[pk] { // effects escape the shard
 			return nil, false
 		}
 		if _, isBuiltin := s.m.builtins[pk]; isBuiltin {

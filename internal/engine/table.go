@@ -25,6 +25,15 @@ import (
 // since it (all of which belong to its region — had any of them depended
 // below the leader, the link would have propagated to the leader and it
 // would not be a leader).
+//
+// Semi-naive re-passes (seminaive.go). A re-pass does not re-derive the
+// answer combinations its previous pass already derived: each consumer
+// edge in watchers carries the consumer's watermark over the table (the
+// smallest answer index its read loops reached in its last pass), and
+// at a clause's pruning point a derivation path that has read only old
+// answers iterates only the new answers of the pruning call. Passes and
+// answers are those of the naive iteration; only duplicate derivations
+// are skipped.
 type subgoal struct {
 	key  string    // canonical call key (TablesStringMap only)
 	goal term.Term // detached copy of the call
@@ -51,7 +60,8 @@ type subgoal struct {
 	onComplStack bool
 	// watchers are the subgoals that have consumed answers from this
 	// table; when this table grows they (transitively) become dirty.
-	watchers map[*subgoal]struct{}
+	// Each edge carries the consumer's semi-naive watermarks.
+	watchers map[*subgoal]*watch
 	// dirty marks that some (transitive) dependency's table has grown
 	// since this subgoal's producer last reached its local fixpoint.
 	// Only dirty subgoals are re-entered; without this, chains of
@@ -62,6 +72,13 @@ type subgoal struct {
 	// enumerated every derivation against fixed inputs, so no
 	// confirmation pass is needed.
 	sawIncomplete bool
+
+	// Semi-naive pass stamps (seminaive.go): snPass counts the passes
+	// started, snGen is the program generation when the last one
+	// started, snDone says it ran to its end, and snPrev says the
+	// running pass may use the watermarks of the pass before.
+	snPass, snGen  int
+	snDone, snPrev bool
 }
 
 // solveTabled resolves a call to a tabled predicate through the table.
@@ -81,32 +98,61 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 		// table has grown since its last local fixpoint: re-enter.
 		m.runProducer(sg)
 	}
-	if !sg.complete {
-		if parent := m.curProducer(); parent != nil {
-			// Record the SCC dependency so no ancestor completes before
-			// this subgoal's region does. An active subgoal links by its
-			// own dfn; an inactive incomplete one by its discovered
-			// minlink (it depends on something older still).
-			link := sg.dfn
-			if !sg.active && sg.minlink < link {
-				link = sg.minlink
-			}
-			if link < parent.minlink {
-				parent.minlink = link
-			}
-			// And subscribe the consumer for dirtiness propagation.
-			if sg.watchers == nil {
-				sg.watchers = map[*subgoal]struct{}{}
-			}
-			sg.watchers[parent] = struct{}{}
-			parent.sawIncomplete = true
+	parent := m.curProducer()
+	// edge is the consumer edge a read of an incomplete table records
+	// its semi-naive watermark on.
+	var edge *watch
+	if !sg.complete && parent != nil {
+		// Record the SCC dependency so no ancestor completes before
+		// this subgoal's region does. An active subgoal links by its
+		// own dfn; an inactive incomplete one by its discovered
+		// minlink (it depends on something older still).
+		link := sg.dfn
+		if !sg.active && sg.minlink < link {
+			link = sg.minlink
 		}
+		if link < parent.minlink {
+			parent.minlink = link
+		}
+		// And subscribe the consumer for dirtiness propagation.
+		if sg.watchers == nil {
+			sg.watchers = map[*subgoal]*watch{}
+		}
+		edge = sg.watchers[parent]
+		if edge == nil {
+			edge = &watch{}
+			sg.watchers[parent] = edge
+		}
+		parent.sawIncomplete = true
+	}
+	// old is the semi-naive watermark: answers below it are old for the
+	// running producer (see seminaive.go). It stays 0 unless the
+	// producer's previous pass ran to its end under the same program.
+	old := 0
+	if parent != nil && parent.snPrev && parent.snGen == m.progGen {
+		w := edge
+		if sg.complete {
+			w = sg.watchers[parent]
+		}
+		if o, ok := w.old(parent); ok {
+			old = o
+		} else if sg.complete {
+			// Not read while incomplete last pass: every read of it
+			// then enumerated the complete table.
+			old = len(sg.answers)
+		}
+	}
+	start := 0
+	if m.snNew == 0 && goal == m.snGoal {
+		// The pruning point, reached by a path that read only old
+		// answers: the old combinations were derived last pass.
+		start = old
 	}
 	unify := term.Unify
 	if m.AbstractUnify != nil {
 		unify = m.AbstractUnify
 	}
-	for i := 0; i < len(sg.answers); i++ {
+	for i := start; i < len(sg.answers); i++ {
 		ans := sg.answers[i]
 		if !sg.answersGnd[i] {
 			// Answers with residual variables must be used via a fresh
@@ -115,6 +161,10 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 		}
 		mark := m.trail.Mark()
 		if unify(goal, ans, &m.trail) {
+			isNew := i >= old
+			if isNew {
+				m.snNew++
+			}
 			var stop bool
 			if m.Provenance {
 				// The continuation runs with this answer as a committed
@@ -125,12 +175,21 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 			} else {
 				stop = k()
 			}
+			if isNew {
+				m.snNew--
+			}
 			if stop {
 				m.trail.Undo(mark)
+				if edge != nil {
+					edge.record(parent, i)
+				}
 				return true
 			}
 		}
 		m.trail.Undo(mark)
+	}
+	if edge != nil {
+		edge.record(parent, len(sg.answers))
 	}
 	return false
 }
@@ -219,6 +278,10 @@ func (m *Machine) runProducer(sg *subgoal) {
 	}
 	sg.minlink = sg.dfn
 	sg.active = true
+	// The semi-naive path state belongs to the producer whose derivation
+	// called this one; this producer's passes start their own.
+	outerGoal, outerNew := m.snGoal, m.snNew
+	m.snNew = 0
 	// Mark the premise stack for this activation: answers added by the
 	// passes below list only premises consumed above this depth.
 	sg.provMark = len(m.premises)
@@ -239,6 +302,7 @@ func (m *Machine) runProducer(sg *subgoal) {
 			ownBefore := len(sg.answers)
 			sg.dirty = false
 			sg.sawIncomplete = false
+			m.beginPass(sg)
 			if m.Mode == ModeClosure {
 				m.producePassClosure(sg)
 			} else {
@@ -249,6 +313,10 @@ func (m *Machine) runProducer(sg *subgoal) {
 					}
 					mark := m.trail.Mark()
 					head, body := renameClause(cl)
+					m.snGoal = nil
+					if cl.sn.Body >= 0 {
+						m.snGoal = cl.sn.Literal(body[cl.sn.Body])
+					}
 					if term.Unify(sg.goal, head, &m.trail) {
 						// nil cut barrier: cut may not cross a table boundary.
 						m.solveGoals(body, nil, func() bool {
@@ -259,6 +327,7 @@ func (m *Machine) runProducer(sg *subgoal) {
 					m.trail.Undo(mark)
 				}
 			}
+			sg.snDone = true
 			// Re-pass only if something could change the outcome: a
 			// pass that consumed no incomplete table is final, and
 			// otherwise a pass that neither gained answers nor saw a
@@ -303,6 +372,7 @@ func (m *Machine) runProducer(sg *subgoal) {
 		}
 	}
 	sg.dirty = false
+	m.snGoal, m.snNew = outerGoal, outerNew
 
 	m.stack = m.stack[:len(m.stack)-1]
 	sg.active = false
@@ -379,18 +449,20 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 	if m.AnswerAbstraction != nil {
 		inst = m.AnswerAbstraction(term.Resolve(inst))
 	}
-	// Count answer derivations toward the context poll. Producers
-	// re-derive every recorded answer on each pass without re-entering
-	// solveG, and per-answer cost grows with answer size, so polling on
-	// solveG entries alone lets cancellation latency grow without bound
-	// on divergent programs.
+	// Count answer derivations toward the context poll. Producer passes
+	// re-derive recorded answers without re-entering solveG (a re-pass
+	// skips only what the semi-naive rule proves old, and ineligible
+	// clauses skip nothing), and per-answer cost grows with answer size,
+	// so polling on solveG entries alone lets cancellation latency grow
+	// without bound on divergent programs.
 	if m.steps++; m.steps >= ctxCheckInterval {
 		m.steps = 0
 		m.checkCtx()
 	}
 	// Dedup through the table index: a trie walk (allocation-free on the
-	// duplicate path, the hottest case — producers re-derive every
-	// answer on each pass) or a canonical-string map probe.
+	// duplicate path, the hottest case — clauses without a semi-naive
+	// pruning point re-derive every answer on each pass) or a
+	// canonical-string map probe.
 	var charge, nodes int
 	var leaf *term.TrieNode
 	var key string

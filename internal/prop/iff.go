@@ -62,52 +62,66 @@ func iffBuiltin(m *engine.Machine, args []term.Term, k func() bool) bool {
 // this purpose.
 func machineTrail(m *engine.Machine) *term.Trail { return m.BuiltinTrail() }
 
+// boolTerms are the Prop values boxed once, so binding a variable to
+// one allocates nothing.
+var boolTerms = [2]term.Term{atomTrue, atomFalse}
+
 // enumerateIff enumerates solutions of iff(X, Y1..Yk): assignments of
 // {true,false} to the distinct unbound variables among the arguments
 // such that X = Y1 ∧ ... ∧ Yk. Bound arguments prune the enumeration.
 func enumerateIff(args []term.Term, tr *term.Trail, k func() bool) bool {
-	// Collect distinct unbound variables.
-	var vars []*term.Var
-	seen := map[*term.Var]bool{}
+	// Collect distinct unbound variables. iff arities are small, so a
+	// linear scan over a stack buffer replaces a set.
+	var buf [16]*term.Var
+	vars := buf[:0]
 	for _, a := range args {
-		if v, ok := term.Deref(a).(*term.Var); ok && !seen[v] {
-			seen[v] = true
+		if v, ok := term.Deref(a).(*term.Var); ok && !hasVar(vars, v) {
 			vars = append(vars, v)
 		}
 	}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(vars) {
-			// All variables assigned: check the constraint.
-			x, ok := boolVal(args[0])
+	return assignIff(args, vars, tr, k)
+}
+
+func hasVar(vars []*term.Var, v *term.Var) bool {
+	for _, w := range vars {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
+// assignIff binds vars[0], vars[1], ... to each boolean in turn and,
+// once all are bound, checks the constraint.
+func assignIff(args []term.Term, vars []*term.Var, tr *term.Trail, k func() bool) bool {
+	if len(vars) == 0 {
+		x, ok := boolVal(args[0])
+		if !ok {
+			return false
+		}
+		conj := true
+		for _, y := range args[1:] {
+			v, ok := boolVal(y)
 			if !ok {
 				return false
 			}
-			conj := true
-			for _, y := range args[1:] {
-				v, ok := boolVal(y)
-				if !ok {
-					return false
-				}
-				conj = conj && v
-			}
-			if x == conj {
-				return k()
-			}
-			return false
+			conj = conj && v
 		}
-		for _, val := range []term.Term{atomTrue, atomFalse} {
-			mark := tr.Mark()
-			tr.Bind(vars[i], val)
-			if rec(i + 1) {
-				tr.Undo(mark)
-				return true
-			}
-			tr.Undo(mark)
+		if x == conj {
+			return k()
 		}
 		return false
 	}
-	return rec(0)
+	for _, val := range boolTerms {
+		mark := tr.Mark()
+		tr.Bind(vars[0], val)
+		if assignIff(args, vars[1:], tr, k) {
+			tr.Undo(mark)
+			return true
+		}
+		tr.Undo(mark)
+	}
+	return false
 }
 
 func boolVal(t term.Term) (bool, bool) {

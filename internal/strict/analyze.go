@@ -31,6 +31,10 @@ func demandVal(t term.Term) Demand {
 	return N
 }
 
+// demandTerms are the demand atoms boxed once, indexed by Demand, so
+// the demand builtins unify without allocating.
+var demandTerms = [...]term.Term{N: DemandN, D: DemandD, E: DemandE}
+
 // RegisterDemandOps installs the native demand-lattice operations:
 //
 //	lub(D1, D2, L)     — L is the least upper bound of D1 and D2
@@ -43,7 +47,7 @@ func RegisterDemandOps(m *engine.Machine) {
 		v := Lub(demandVal(args[0]), demandVal(args[1]))
 		tr := m.BuiltinTrail()
 		mark := tr.Mark()
-		if term.Unify(args[2], v.Atom(), tr) {
+		if term.Unify(args[2], demandTerms[v], tr) {
 			if k() {
 				tr.Undo(mark)
 				return true
@@ -59,7 +63,7 @@ func RegisterDemandOps(m *engine.Machine) {
 		}
 		tr := m.BuiltinTrail()
 		mark := tr.Mark()
-		if term.Unify(args[1], dc.Atom(), tr) {
+		if term.Unify(args[1], demandTerms[dc], tr) {
 			if k() {
 				tr.Undo(mark)
 				return true
