@@ -161,7 +161,8 @@ func (s *System) addFact(f term.Term) bool {
 		return false
 	}
 	r.keys[key] = struct{}{}
-	r.recent = append(r.recent, term.Rename(term.Resolve(f), nil))
+	fact, _ := term.Detach(f)
+	r.recent = append(r.recent, fact)
 	r.bytes += len(key)
 	s.stats.Facts++
 	s.stats.TableBytes += len(key)
@@ -225,7 +226,8 @@ func (s *System) SemiNaive() (iterations int, err error) {
 		}
 		var newFacts []term.Term
 		collect := func(h term.Term) {
-			newFacts = append(newFacts, term.Rename(term.Resolve(h), nil))
+			fact, _ := term.Detach(h)
+			newFacts = append(newFacts, fact)
 		}
 		for _, r := range s.rules {
 			for _, pos := range s.derivedPositions(r) {
@@ -350,7 +352,7 @@ func (s *System) joinFrom(body []term.Term, i int, tr *term.Trail, deltaPos int,
 	for _, f := range facts {
 		s.stats.Joins++
 		mark := tr.Mark()
-		if term.Unify(g, term.Rename(f, nil), tr) {
+		if fresh, _ := term.Detach(f); term.Unify(g, fresh, tr) {
 			s.joinFrom(body, i+1, tr, deltaPos, k)
 		}
 		tr.Undo(mark)

@@ -217,8 +217,9 @@ func AnswerQuery(rules []*Rule, facts []term.Term, registerBuiltins func(*System
 	var tr term.Trail
 	for _, f := range sys.Facts(qInd) {
 		mark := tr.Mark()
-		if term.Unify(mp.Query, term.Rename(f, nil), &tr) {
-			answers = append(answers, term.Rename(term.Resolve(query), nil))
+		if fresh, _ := term.Detach(f); term.Unify(mp.Query, fresh, &tr) {
+			ans, _ := term.Detach(query)
+			answers = append(answers, ans)
 		}
 		tr.Undo(mark)
 	}

@@ -240,37 +240,13 @@ func matcherFor(skel term.Term, seen []bool) matcher {
 				}
 				return true
 			case *term.Var:
-				e.Trail.Bind(d, instantiate(build, fr))
+				e.Trail.Bind(d, term.InstantiateFrame(build, fr))
 				return true
 			}
 			return false
 		}
 	}
 	return func(*Env, []term.Term, term.Term) bool { return false }
-}
-
-// instantiate fills a skeleton from the frame, allocating a fresh
-// variable for any slot not yet written (a variable whose first
-// occurrence sits under a structure matched in write mode, or a body
-// variable not occurring in the head).
-func instantiate(skel term.Term, fr []term.Term) term.Term {
-	switch t := skel.(type) {
-	case term.Ref:
-		v := fr[int(t)]
-		if v == nil {
-			v = term.NewVar("_")
-			fr[int(t)] = v
-		}
-		return v
-	case *term.Compound:
-		args := make([]term.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = instantiate(a, fr)
-		}
-		return &term.Compound{Functor: t.Functor, Args: args}
-	default:
-		return t
-	}
 }
 
 // buildIndex builds the first-argument index: a variable-first clause matches every call, so it

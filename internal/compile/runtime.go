@@ -124,10 +124,10 @@ func (cl *Clause) activate(e *Env, fr []term.Term, args []term.Term, cut *bool, 
 // Goals and continuations are built once per activation and reused
 // across backtracking re-entries — when goal i yields another solution,
 // trail undo has already restored goal i+1's term to its unbound state,
-// so re-instantiating it would only duplicate allocation. This matches
-// the interpreter's rename-once-per-attempt cost; instantiating per
-// step per re-entry instead costs O(solutions) allocations per goal and
-// loses the compiled backend's constant factor on conjunctive bodies.
+// so re-instantiating it would only duplicate allocation. The
+// interpreter builds its body chains the same way (engine activate);
+// instantiating per step per re-entry instead costs O(solutions)
+// allocations per goal.
 func (cl *Clause) bodyChain(e *Env, fr []term.Term, cut *bool, mk Mark, lit *term.Term, k func() bool) func() bool {
 	next := k
 	for i := len(cl.steps) - 1; i >= 0; i-- {
@@ -148,7 +148,7 @@ func (cl *Clause) bodyChain(e *Env, fr []term.Term, cut *bool, mk Mark, lit *ter
 		case stepFail:
 			next = contFail
 		default: // stepCall
-			goal := instantiate(st.skel, fr)
+			goal := term.InstantiateFrame(st.skel, fr)
 			if st.body == mk.Body {
 				*lit = mk.Literal(goal)
 			}

@@ -143,7 +143,7 @@ func RunBottomUpFull(src, query string) (*Outcome, error) {
 	var tr term.Trail
 	for _, f := range s.Facts(ind) {
 		mark := tr.Mark()
-		if term.Unify(goal, term.Rename(f, nil), &tr) {
+		if fresh, _ := term.Detach(f); term.Unify(goal, fresh, &tr) {
 			answers++
 		}
 		tr.Undo(mark)

@@ -362,7 +362,8 @@ func engineAnswers(src string, preds []string) (map[string]string, error) {
 		}
 		var answers []term.Term
 		err = m.Solve(goal, func() bool {
-			answers = append(answers, term.Rename(term.Resolve(goal), nil))
+			ans, _ := term.Detach(goal)
+			answers = append(answers, ans)
 			return false
 		})
 		if err != nil {

@@ -171,14 +171,16 @@ func registerBuiltins(m *Machine) {
 	bi("arg/3", biArg)
 	bi("=../2", biUniv)
 	bi("copy_term/2", func(m *Machine, args []term.Term, k func() bool) bool {
-		return m.unifyK(args[1], term.Rename(args[0], nil), k)
+		cp, _ := term.Detach(args[0])
+		return m.unifyK(args[1], cp, k)
 	})
 
 	// Solution collection.
 	bi("findall/3", func(m *Machine, args []term.Term, k func() bool) bool {
 		var acc []term.Term
 		m.solveG(args[1], new(bool), func() bool {
-			acc = append(acc, term.Rename(term.Resolve(args[0]), nil))
+			inst, _ := term.Detach(args[0])
+			acc = append(acc, inst)
 			return false
 		})
 		return m.unifyK(args[2], term.List(acc...), k)
@@ -227,7 +229,7 @@ func registerBuiltins(m *Machine) {
 	bi("assertz/1", biAssertz)
 	bi("retract/1", biRetract)
 	bi("asserta/1", func(m *Machine, args []term.Term, k func() bool) bool {
-		cl := term.Rename(term.Resolve(args[0]), nil)
+		cl, _ := term.Detach(args[0])
 		if err := m.assertFront(cl); err != nil {
 			m.throwf("%v", err)
 		}
@@ -304,8 +306,16 @@ func biRetract(m *Machine, args []term.Term, k func() bool) bool {
 	}
 	for i, cl := range p.Clauses {
 		mark := m.trail.Mark()
-		h, b := renameClause(cl)
-		matched := term.Unify(head, h, &m.trail)
+		frame := m.getFrame(cl.nvars)
+		matched := term.MatchSkeleton(head, cl.skelHead, frame, &m.trail)
+		var b []term.Term
+		if matched {
+			b = make([]term.Term, len(cl.skelBody))
+			for j, g := range cl.skelBody {
+				b[j] = term.InstantiateFrame(g, frame)
+			}
+		}
+		clear(frame)
 		if matched {
 			if patIsRule(pat) {
 				matched = unifyBody(bodyPat, b, &m.trail)
@@ -347,7 +357,7 @@ func unifyBody(bodyPat []term.Term, body []term.Term, tr *term.Trail) bool {
 }
 
 func biAssertz(m *Machine, args []term.Term, k func() bool) bool {
-	cl := term.Rename(term.Resolve(args[0]), nil)
+	cl, _ := term.Detach(args[0])
 	if err := m.Assert(cl); err != nil {
 		m.throwf("%v", err)
 	}

@@ -171,6 +171,39 @@ func TestTablesRecordCallsAndAnswers(t *testing.T) {
 	}
 }
 
+// TestDumpTablesStringReproducible: the dump numbers variables per call
+// and answer, so two runs of one program in one process print the same
+// bytes even when the second starts after other fresh variables were
+// created.
+func TestDumpTablesStringReproducible(t *testing.T) {
+	const src = `
+		:- table p/2, q/1.
+		p(X, f(X, Y, Y)).
+		p(a, g(Z)) :- q(Z).
+		q(_).
+		q(h(W, W)).
+	`
+	dump := func() string {
+		m := newMachine(t, src)
+		if _, err := m.Query("p(A, B)"); err != nil {
+			t.Fatal(err)
+		}
+		return m.DumpTablesString()
+	}
+	first := dump()
+	for i := 0; i < 1000; i++ {
+		term.NewVar("X")
+	}
+	if second := dump(); second != first {
+		t.Fatalf("dumps differ:\n%s---\n%s", first, second)
+	}
+	for _, want := range []string{"p(_0,_1)  [complete]\n", "  p(_0,f(_0,_1,_1))\n", "  q(h(_0,_0))\n"} {
+		if !strings.Contains(first, want) {
+			t.Errorf("dump lacks %q:\n%s", want, first)
+		}
+	}
+}
+
 func TestVariantCallsShareTables(t *testing.T) {
 	m := newMachine(t, `
 		:- table p/2.

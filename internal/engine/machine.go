@@ -40,8 +40,14 @@ import (
 type LoadMode int
 
 const (
-	// LoadDynamic stores clauses as parsed (XSB's assert + call/1 path):
-	// minimal preprocessing, linear clause scan at call time.
+	// LoadDynamic stores clauses as asserted (XSB's assert + call/1
+	// path): minimal preprocessing, a linear clause scan at call time.
+	// Each clause keeps a skeleton, its terms with variables numbered,
+	// and resolution walks the call against the head skeleton through a
+	// pooled frame, the way XSB still runs WAM head instructions against
+	// asserted code. The clause is never copied: the body is
+	// instantiated only after the head matches, and its continuation
+	// chain is built once per activation.
 	LoadDynamic LoadMode = iota
 	// ModeClosure translates every predicate into Go closures
 	// (internal/compile): head unification is specialized per clause,
@@ -134,7 +140,9 @@ type Stats struct {
 
 // Clause is a stored program clause with flattened body. The skeleton
 // fields are a compiled form in which variables are replaced by indexed
-// term.Ref placeholders, making per-resolution renaming a map-free copy.
+// term.Ref placeholders: resolution matches a call against skelHead
+// (term.MatchSkeleton) and builds only the body (term.InstantiateFrame),
+// so a clause is never renamed as a whole.
 type Clause struct {
 	Head term.Term
 	Body []term.Term
@@ -153,7 +161,7 @@ type Clause struct {
 	sn compile.Mark
 }
 
-// compile builds the renaming skeleton; called once when the clause is
+// compile builds the clause skeleton; called once when the clause is
 // stored.
 func (cl *Clause) compile() {
 	idx := map[*term.Var]int{}
@@ -264,6 +272,9 @@ type Machine struct {
 	preds    map[pkey]*Pred
 	builtins map[pkey]Builtin
 	trail    term.Trail
+	// frame is the pooled clause frame of interpreted resolution: the
+	// term.Ref slots one activation's head match fills (see activate).
+	frame []term.Term
 
 	// Call-table index: exactly one of tables (TablesStringMap) and
 	// callTrie (TablesTrie) is live, chosen lazily from m.Tables at the
@@ -543,7 +554,7 @@ func (m *Machine) throwf(format string, args ...any) {
 // Solve proves goal, invoking yield for each solution with bindings in
 // place. If yield returns true the search stops early. The trail is
 // fully unwound before Solve returns, so bindings must be snapshotted
-// (term.Resolve + term.Rename) inside yield if they are to be kept.
+// (term.Detach) inside yield if they are to be kept.
 func (m *Machine) Solve(goal term.Term, yield func() bool) (err error) {
 	mark := m.trail.Mark()
 	defer func() {
@@ -577,7 +588,8 @@ func (m *Machine) Query(goalSrc string) ([]term.Term, error) {
 	}
 	var out []term.Term
 	err = m.Solve(goal, func() bool {
-		out = append(out, term.Rename(term.Resolve(goal), nil))
+		ans, _ := term.Detach(goal)
+		out = append(out, ans)
 		return false
 	})
 	return out, err
@@ -591,7 +603,7 @@ func (m *Machine) QueryFirst(goalSrc string) (term.Term, bool, error) {
 	}
 	var out term.Term
 	err = m.Solve(goal, func() bool {
-		out = term.Rename(term.Resolve(goal), nil)
+		out, _ = term.Detach(goal)
 		return true
 	})
 	return out, out != nil, err

@@ -59,20 +59,6 @@ func answerLog(m *Machine) string {
 	return sb.String()
 }
 
-// canonDump renders every table with canonical (run-independent)
-// variable numbering; DumpTablesString prints global fresh-variable
-// ids, which differ across machines.
-func canonDump(m *Machine) string {
-	var sb strings.Builder
-	for _, d := range m.DumpTables("") {
-		fmt.Fprintf(&sb, "%s complete=%v\n", term.Canonical(d.Call), d.Complete)
-		for _, a := range d.Answers {
-			fmt.Fprintf(&sb, "  %s\n", term.Canonical(a))
-		}
-	}
-	return sb.String()
-}
-
 // normStats zeroes the wall-clock field so runs compare structurally.
 func normStats(s Stats) Stats {
 	s.CompileNanos = 0
@@ -123,7 +109,7 @@ func TestSolveAllParallelMatchesSequential(t *testing.T) {
 				if got, want := answerLog(par), answerLog(seq); got != want {
 					t.Errorf("answer/provenance log diverges:\npar:\n%s\nseq:\n%s", got, want)
 				}
-				if got, want := canonDump(par), canonDump(seq); got != want {
+				if got, want := CanonicalDump(par), CanonicalDump(seq); got != want {
 					t.Errorf("table dump diverges:\npar:\n%s\nseq:\n%s", got, want)
 				}
 			})
@@ -273,7 +259,7 @@ func TestSolveAllReuseAfterResetTables(t *testing.T) {
 		if err := m.SolveAll(goals); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		dump := canonDump(m)
+		dump := CanonicalDump(m)
 		if round == 0 {
 			first = dump
 		} else if dump != first {

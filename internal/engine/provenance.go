@@ -131,7 +131,7 @@ func (m *Machine) FindAnswers(goal term.Term) []AnswerRef {
 		return nil
 	}
 	ind := fmt.Sprintf("%s/%d", name, len(args))
-	probe := term.Rename(term.Resolve(goal), nil)
+	probe, _ := term.Detach(goal)
 	var out []AnswerRef
 	for _, sg := range m.subgoals {
 		if sg.pred.Indicator != ind {
@@ -139,7 +139,7 @@ func (m *Machine) FindAnswers(goal term.Term) []AnswerRef {
 		}
 		for i, ans := range sg.answers {
 			if !sg.answersGnd[i] {
-				ans = term.Rename(ans, nil)
+				ans, _ = term.Detach(ans)
 			}
 			mark := m.trail.Mark()
 			if term.Unify(probe, ans, &m.trail) {

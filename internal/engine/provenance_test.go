@@ -85,7 +85,12 @@ func TestProvenancePremisesRecheck(t *testing.T) {
 		for ai, ans := range sg.answers {
 			j, _ := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
 			cl := sg.pred.Clauses[j.ClauseNth]
-			head, body := renameClause(cl)
+			ren := map[*term.Var]*term.Var{}
+			head := term.Rename(cl.Head, ren)
+			body := make([]term.Term, len(cl.Body))
+			for i, g := range cl.Body {
+				body[i] = term.Rename(g, ren)
+			}
 			mark := m.trail.Mark()
 			if !term.Unify(head, term.Rename(ans, nil), &m.trail) {
 				t.Fatalf("clause %d head does not cover answer %v", j.ClauseNth, ans)

@@ -149,15 +149,12 @@ func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
 			m.tracer.Emit(obs.EvResolutions, p.Indicator, 1)
 		}
 		mark := m.trail.Mark()
-		head, body := renameClause(cl)
-		if term.Unify(goal, head, &m.trail) {
-			if stop := m.solveGoals(body, &cut, k); stop {
-				m.trail.Undo(mark)
-				if cut {
-					return false
-				}
-				return true
+		if stop := m.activate(goal, cl, &cut, false, k); stop {
+			m.trail.Undo(mark)
+			if cut {
+				return false
 			}
+			return true
 		}
 		m.trail.Undo(mark)
 		if cut {
@@ -167,27 +164,55 @@ func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
 	return false
 }
 
-// solveGoals proves a conjunction given as a slice.
-func (m *Machine) solveGoals(goals []term.Term, cut *bool, k func() bool) bool {
-	if len(goals) == 0 {
-		return k()
+// activate resolves goal against one clause without copying it. The
+// head is matched against the clause's skeleton through the machine's
+// pooled frame (term.MatchSkeleton; a failed head allocates nothing).
+// Only after it matches is the body instantiated from the frame and its
+// continuation chain built, once per activation: backtracking into a
+// body goal re-enters the same continuation of the next goal instead
+// of allocating a new one per solution. With sn set (a producer pass)
+// the activation records the clause's semi-naive pruning literal in
+// m.snGoal. It returns k's stop signal; the bindings are the caller's
+// to undo.
+func (m *Machine) activate(goal term.Term, cl *Clause, cut *bool, sn bool, k func() bool) bool {
+	frame := m.getFrame(cl.nvars)
+	if !term.MatchSkeleton(goal, cl.skelHead, frame, &m.trail) {
+		clear(frame)
+		return false
 	}
-	return m.solveG(goals[0], cut, func() bool {
-		return m.solveGoals(goals[1:], cut, k)
-	})
+	// Fresh variables for the body-only slots, created in slot order:
+	// the chain is built back to front, and the standard order of terms
+	// compares unbound variables by creation.
+	for i, v := range frame {
+		if v == nil {
+			frame[i] = term.NewVar("_")
+		}
+	}
+	next := k
+	var first term.Term = term.Atom("true")
+	for i := len(cl.skelBody) - 1; i >= 0; i-- {
+		g := term.InstantiateFrame(cl.skelBody[i], frame)
+		if sn && i == cl.sn.Body {
+			m.snGoal = cl.sn.Literal(g)
+		}
+		if i == 0 {
+			first = g
+			break
+		}
+		nk := next
+		next = func() bool { return m.solveG(g, cut, nk) }
+	}
+	clear(frame)
+	return m.solveG(first, cut, next)
 }
 
-// renameClause instantiates a stored clause with fresh variables by
-// filling its compiled skeleton.
-func renameClause(cl *Clause) (head term.Term, body []term.Term) {
-	vars := make([]term.Term, cl.nvars)
-	for i := range vars {
-		vars[i] = term.NewVar("_")
+// getFrame returns the machine's frame with n slots, all nil. Head
+// matching and body instantiation never re-enter the machine, and
+// activate clears the frame before the body runs, so one frame per
+// machine serves every activation; parallel shards get their own.
+func (m *Machine) getFrame(n int) []term.Term {
+	if cap(m.frame) < n {
+		m.frame = make([]term.Term, n)
 	}
-	head = term.InstantiateSkeleton(cl.skelHead, vars)
-	body = make([]term.Term, len(cl.skelBody))
-	for i, g := range cl.skelBody {
-		body[i] = term.InstantiateSkeleton(g, vars)
-	}
-	return head, body
+	return m.frame[:n]
 }

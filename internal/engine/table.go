@@ -157,7 +157,7 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 		if !sg.answersGnd[i] {
 			// Answers with residual variables must be used via a fresh
 			// renaming; ground answers (the common case) unify directly.
-			ans = term.Rename(ans, nil)
+			ans, _ = term.Detach(ans)
 		}
 		mark := m.trail.Mark()
 		if unify(goal, ans, &m.trail) {
@@ -229,7 +229,7 @@ func (m *Machine) lookupOrCreate(p *Pred, lookup term.Term) (sg *subgoal, create
 	if sg == nil {
 		sg = &subgoal{}
 	}
-	sg.goal = term.Rename(term.Resolve(lookup), nil)
+	sg.goal, _ = term.Detach(lookup)
 	sg.pred = p
 	sg.idx = len(m.subgoals)
 	if m.useTrie() {
@@ -312,18 +312,12 @@ func (m *Machine) runProducer(sg *subgoal) {
 						m.tracer.Emit(obs.EvResolutions, sg.pred.Indicator, 1)
 					}
 					mark := m.trail.Mark()
-					head, body := renameClause(cl)
 					m.snGoal = nil
-					if cl.sn.Body >= 0 {
-						m.snGoal = cl.sn.Literal(body[cl.sn.Body])
-					}
-					if term.Unify(sg.goal, head, &m.trail) {
-						// nil cut barrier: cut may not cross a table boundary.
-						m.solveGoals(body, nil, func() bool {
-							m.addAnswer(sg, sg.goal, cl)
-							return false
-						})
-					}
+					// nil cut barrier: cut may not cross a table boundary.
+					m.activate(sg.goal, cl, nil, cl.sn.Body >= 0, func() bool {
+						m.addAnswer(sg, sg.goal, cl)
+						return false
+					})
 					m.trail.Undo(mark)
 				}
 			}
@@ -501,9 +495,9 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 	} else {
 		sg.answerKeys[key] = struct{}{}
 	}
-	detached := term.Rename(term.Resolve(inst), nil)
+	detached, ground := term.Detach(inst)
 	sg.answers = append(sg.answers, detached)
-	sg.answersGnd = append(sg.answersGnd, term.IsGround(detached))
+	sg.answersGnd = append(sg.answersGnd, ground)
 	m.stats.Answers++
 	m.stats.AnswerBytes += charge
 	m.stats.TableBytes += charge
@@ -589,10 +583,13 @@ func (m *Machine) AnswerSpace() int { return m.stats.AnswerBytes }
 func (m *Machine) TableNodes() int { return m.stats.TableNodes }
 
 // DumpTablesString renders all tables for debugging and the cmd/xlp tool.
+// Each call and answer numbers its unbound variables by first occurrence
+// (term.Canonical: _0, _1, ...), so equal tables print byte-equal however
+// many fresh variables the evaluation created.
 func (m *Machine) DumpTablesString() string {
 	var sb strings.Builder
 	for _, sg := range m.sortedSubgoals("") {
-		sb.WriteString(sg.goal.String())
+		sb.WriteString(m.callKey(sg))
 		if sg.complete {
 			sb.WriteString("  [complete]\n")
 		} else {
@@ -600,7 +597,7 @@ func (m *Machine) DumpTablesString() string {
 		}
 		for _, a := range sg.answers {
 			sb.WriteString("  ")
-			sb.WriteString(a.String())
+			sb.WriteString(term.Canonical(a))
 			sb.WriteByte('\n')
 		}
 	}

@@ -169,3 +169,50 @@ func TestSemiNaiveGuard(t *testing.T) {
 		t.Errorf("strictness corpus: %d resolutions, over 1.1x the recorded %d", total, recordedTotal)
 	}
 }
+
+// TestResolutionAllocGuard catches interpreted resolution that went back
+// to copying clauses or answers: the strictness and the groundness
+// corpus sweeps (default options, so the dynamic-loading backend) and
+// pcprove alone allocate the counts below. Allocation counts are
+// deterministic up to a few dozen per sweep, so the bar is 1.1x the
+// recorded values.
+func TestResolutionAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus sweeps")
+	}
+	const recordedStrict, recordedProp, recordedPcprove = 491470, 316864, 153936
+	strictSweep := func(name string) func() {
+		return func() {
+			for _, p := range corpus.FuncPrograms() {
+				if name != "" && p.Name != name {
+					continue
+				}
+				if _, err := strict.Analyze(p.Source, strict.Options{}); err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
+			}
+		}
+	}
+	propSweep := func() {
+		for _, p := range corpus.LogicPrograms() {
+			if _, err := prop.Analyze(p.Source, prop.Options{}); err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		run      func()
+		recorded int
+	}{
+		{"strictness corpus", strictSweep(""), recordedStrict},
+		{"groundness corpus", propSweep, recordedProp},
+		{"pcprove", strictSweep("pcprove"), recordedPcprove},
+	} {
+		n := testing.AllocsPerRun(1, c.run)
+		t.Logf("%s: %.0f allocations", c.name, n)
+		if n*10 > float64(c.recorded)*11 {
+			t.Errorf("%s: %.0f allocations, over 1.1x the recorded %d", c.name, n, c.recorded)
+		}
+	}
+}

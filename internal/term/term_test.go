@@ -253,11 +253,7 @@ func TestSkeletonRoundTrip(t *testing.T) {
 	if len(idx) != 2 {
 		t.Fatalf("skeleton vars = %d, want 2", len(idx))
 	}
-	vars := make([]Term, len(idx))
-	for i := range vars {
-		vars[i] = NewVar("F")
-	}
-	inst := InstantiateSkeleton(skel, vars)
+	inst := InstantiateFrame(skel, make([]Term, len(idx)))
 	if !Variant(tm, inst) {
 		t.Fatalf("instantiation is not a variant: %v vs %v", tm, inst)
 	}
@@ -268,8 +264,7 @@ func TestSkeletonRoundTrip(t *testing.T) {
 		t.Fatal("sharing lost through skeleton")
 	}
 	// two instantiations share nothing
-	vars2 := []Term{NewVar("G"), NewVar("G")}
-	inst2 := InstantiateSkeleton(skel, vars2)
+	inst2 := InstantiateFrame(skel, make([]Term, len(idx)))
 	if Deref(inst2.(*Compound).Args[0]) == Deref(c.Args[0]) {
 		t.Fatal("instantiations must be independent")
 	}
@@ -280,7 +275,7 @@ func TestSkeletonGroundSharing(t *testing.T) {
 	g := Comp("g", Atom("a"), Int(1))
 	tm := Comp("f", g, NewVar("X"))
 	skel := CompileSkeleton(tm, map[*Var]int{})
-	inst := InstantiateSkeleton(skel, []Term{NewVar("Y")})
+	inst := InstantiateFrame(skel, []Term{NewVar("Y")})
 	if inst.(*Compound).Args[0] != skel.(*Compound).Args[0] {
 		t.Fatal("ground subtree should be shared with the skeleton")
 	}
